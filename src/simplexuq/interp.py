@@ -11,7 +11,7 @@ diagonal of the observed-block covariance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from . import geometry
 from .errors import IllConditionedKernelError
@@ -96,7 +96,9 @@ def interpolate(obs, spec, grid):
     mu = spec.latent_mean
     Z_obs = geometry.ilr(obs.values.T, spec.H) - mu  # (K, P-1), centered
     mean = mu + C_so @ cho_solve(F, Z_obs)  # (N, P-1)
-    var = c_ss - np.sum(C_so * cho_solve(F, C_so.T).T, axis=1)
+    # c_ss - diag(C_so C_oo^{-1} C_os) = c_ss - ||L^{-1} C_os||^2 per column
+    W = solve_triangular(F[0], C_so.T, lower=True)  # (K, N)
+    var = c_ss - np.einsum("kn,kn->n", W, W)
     var = np.maximum(var, 0.0)
 
     A = geometry.ilr_inv(mean, spec.H).T

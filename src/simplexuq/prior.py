@@ -69,6 +69,10 @@ class GramMatrix:
     ``applied_jitter`` records the diagonal boost that made the Cholesky
     succeed (0.0 when none was needed). Instances are immutable and safe to
     share across threads.
+
+    ``chol`` is stored column-major, the layout LAPACK reads, and checked
+    for finiteness once here; the solves then pass it to LAPACK without a
+    copy or a rescan and check only the right-hand side.
     """
 
     matrix: np.ndarray
@@ -76,6 +80,10 @@ class GramMatrix:
     applied_jitter: float = 0.0
 
     def __post_init__(self):
+        chol = np.asfortranarray(self.chol, dtype=float)
+        if not np.all(np.isfinite(chol)):
+            raise ValueError("Cholesky factor must be finite")
+        object.__setattr__(self, "chol", chol)
         for arr in (self.matrix, self.chol):
             arr.setflags(write=False)
 
@@ -84,12 +92,14 @@ class GramMatrix:
         return self.matrix.shape[0]
 
     def solve(self, B):
-        """K_U^{-1} B via the Cholesky factor."""
-        return cho_solve((self.chol, True), B)
+        """K_U^{-1} B via the Cholesky factor; raises ValueError on a non-finite B."""
+        return cho_solve((self.chol, True), np.asarray_chkfinite(B), check_finite=False)
 
     def half_solve(self, B):
         """L^{-1} B, so that ||L^{-1} Z^T||_F^2 = tr(Z K_U^{-1} Z^T)."""
-        return solve_triangular(self.chol, B, lower=True)
+        return solve_triangular(
+            self.chol, np.asarray_chkfinite(B), lower=True, check_finite=False
+        )
 
     @property
     def log_det(self):

@@ -303,9 +303,10 @@ def _euclidean_potential_and_gradient(A, model):
     """Negative log posterior in abundance space and its gradient.
 
     V(A) = sum log a  +  prior quadratic in ilr(A)  +  data misfit. The
-    barrier term comes from the prior's chart Jacobian: gradients pull
-    iterates away from the boundary, matching the log-barrier behavior of
-    the density itself.
+    sum log a term comes from the prior's chart Jacobian and tends to -inf
+    at the boundary, so on its own it pulls gradient descent toward the
+    boundary. What pushes iterates back is the prior quadratic, whose
+    log^2 growth in ilr coordinates dominates near the boundary.
     """
     spec = model.prior
     Z = geometry.ilr(A.T, spec.H).T
@@ -314,7 +315,7 @@ def _euclidean_potential_and_gradient(A, model):
     V = np.sum(np.log(A)) + np.sum(Zc.T * KinvZt) / (2.0 * spec.sigma_a2)
     G_Z = KinvZt.T / spec.sigma_a2
     # d z / d a = H^T diag(1/a) on the tangent space, so the pullback of the
-    # latent gradient is (H G_Z) / A; the barrier contributes 1/A.
+    # latent gradient is (H G_Z) / A; the Jacobian term contributes 1/A.
     G = (1.0 + spec.H @ G_Z) / A
     if not model.obs.prior_only:
         R = model.S @ A - model.obs.X

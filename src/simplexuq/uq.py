@@ -21,8 +21,6 @@ limited to P <= 4; scalar statistics work for any P.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.stats import gaussian_kde
 
 from . import geometry
 
@@ -261,6 +259,10 @@ _KDE_GRID = {1: 512, 2: 64, 3: 24}
 
 
 def _hdr_latent_kde(samples, alpha, bandwidth):
+    # imported here: scipy.stats dominates the package's import time
+    from scipy import ndimage
+    from scipy.stats import gaussian_kde
+
     M, P = samples.shape
     z = geometry.ilr(samples)
     fit = z

@@ -129,3 +129,12 @@ def test_index_and_part_count_checks():
     obs4 = PartialObservation(np.array([1]), np.full((4, 1), 0.25))
     with pytest.raises(ValueError):
         interpolate(obs4, spec, grid)
+
+
+def test_nonfinite_grid_coordinate_rejected():
+    grid = square_grid(3, 3)
+    grid[4, 0] = np.nan
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=2.0))
+    obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
+    with pytest.raises(ValueError):
+        interpolate(obs, spec, grid)

@@ -279,6 +279,34 @@ def test_gp_logpdf_single_pixel_reduces_to_pixel_prior():
         assert abs(got - want) < 1e-12
 
 
+def test_gram_factor_is_column_major_and_solve_matches_dense():
+    gram = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0))
+    assert gram.chol.flags.f_contiguous
+    B = np.random.default_rng(30).standard_normal((64, 2))
+    assert np.max(np.abs(gram.solve(B) - np.linalg.solve(gram.matrix, B))) < 1e-10
+    W = gram.half_solve(B)
+    assert np.max(np.abs(gram.chol @ W - B)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_solves_reject_nonfinite_rhs(bad):
+    gram = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0))
+    B = np.ones((64, 2))
+    B[5, 1] = bad
+    with pytest.raises(ValueError):
+        gram.solve(B)
+    with pytest.raises(ValueError):
+        gram.half_solve(B)
+
+
+def test_gram_rejects_nonfinite_factor():
+    K = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0)).matrix
+    L = np.linalg.cholesky(K)
+    L[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        GramMatrix(K.copy(), L)
+
+
 def test_gp_logpdf_pixel_relabeling_invariance():
     grid = square_grid(3, 2)
     gram = build_gram(grid, KernelSpec(length_scale=2.0))

@@ -10,6 +10,7 @@ from simplexuq.sampler import (
     Observations,
     PosteriorModel,
     SamplerConfig,
+    _euclidean_potential_and_gradient,
     check_endmembers,
     latent_gradient,
     latent_neg_log_posterior,
@@ -246,6 +247,28 @@ def test_mirror_langevin_prior_only_moments():
     cov = np.cov(z.T)
     tol = 5.0 * spec.sigma_a2 * np.sqrt(2.0 / M)
     assert np.max(np.abs(cov - spec.sigma_a2 * np.eye(2))) < tol
+
+
+def test_euclidean_gradient_jacobian_term_pulls_toward_boundary():
+    # With a nearly flat latent prior only the +sum log a Jacobian term is
+    # left, and a descent step shrinks the small component; a tight prior's
+    # quadratic in ilr coordinates outweighs it and pushes back.
+    grid = np.array([[0.0, 0.0]])
+    kernel = KernelSpec(kind="dirac")
+    S, _ = builtin_endmembers(16, 3)
+    A = np.array([[0.02], [0.49], [0.49]])
+
+    def tangent_gradient(sigma_a2):
+        spec = PriorSpec(P=3, sigma_a2=sigma_a2, kernel=kernel)
+        model = PosteriorModel(
+            S, Observations(np.zeros((16, 1)), np.inf), spec, build_gram(grid, kernel)
+        )
+        _, G = _euclidean_potential_and_gradient(A, model)
+        return (G - G.mean(axis=0))[:, 0]
+
+    flat = tangent_gradient(1e8)
+    assert np.allclose(flat, [32.0, -16.0, -16.0], atol=0.05)
+    assert tangent_gradient(0.1)[0] < 0.0
 
 
 def test_projected_ula_stays_on_simplex():
