@@ -80,9 +80,11 @@ def interpolate(obs, spec, grid):
 
     U_obs = grid[obs.indices]
     # latent covariance = sigma_a2 * spatial kernel (kernel carries sigma_k2)
-    C_oo = spec.sigma_a2 * spec.kernel(U_obs, U_obs)
+    C_oo = spec.kernel(U_obs, U_obs)
+    C_oo *= spec.sigma_a2
     C_oo = 0.5 * (C_oo + C_oo.T) + obs.nugget * np.eye(len(U_obs))
-    C_so = spec.sigma_a2 * spec.kernel(grid, U_obs)
+    C_so = spec.kernel(grid, U_obs)
+    C_so *= spec.sigma_a2
     c_ss = spec.sigma_a2 * spec.kernel.sigma_k2
 
     try:
@@ -97,7 +99,8 @@ def interpolate(obs, spec, grid):
     Z_obs = geometry.ilr(obs.values.T, spec.H) - mu  # (K, P-1), centered
     mean = mu + C_so @ cho_solve(F, Z_obs)  # (N, P-1)
     # c_ss - diag(C_so C_oo^{-1} C_os) = c_ss - ||L^{-1} C_os||^2 per column
-    W = solve_triangular(F[0], C_so.T, lower=True)  # (K, N)
+    # (K, N), written over C_so, which is not used again
+    W = solve_triangular(F[0], C_so.T, lower=True, overwrite_b=True)
     var = c_ss - np.einsum("kn,kn->n", W, W)
     var = np.maximum(var, 0.0)
 

@@ -58,7 +58,13 @@ class KernelSpec:
         d = cdist(U1, U2)
         if self.kind == "dirac":
             return self.sigma_k2 * (d == 0.0).astype(float)
-        return self.sigma_k2 * np.exp(-d / self.length_scale)
+        # Built in place: each temporary would be as large as the result
+        # (65 MB for a 9216 x 921 cross-covariance).
+        np.divide(d, self.length_scale, out=d)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        d *= self.sigma_k2
+        return d
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,10 @@ class GramMatrix:
     ``chol`` is stored column-major, the layout LAPACK reads, and checked
     for finiteness once here; the solves then pass it to LAPACK without a
     copy or a rescan and check only the right-hand side.
+
+    This is the operator of the exponential kernel. The dirac kernel's Gram
+    matrix is diagonal and is held by :class:`DiagonalGram`, which stores
+    only the diagonal: O(N) memory and O(N) time per solve.
     """
 
     matrix: np.ndarray
@@ -105,6 +115,61 @@ class GramMatrix:
     def log_det(self):
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
 
+    def sqrt_matvec(self, E):
+        """E L^T over the last axis of E: maps white noise to covariance K_U."""
+        return E @ self.chol.T
+
+
+@dataclass(frozen=True)
+class DiagonalGram:
+    """Diagonal Gram matrix of the dirac kernel, stored as its diagonal.
+
+    ``matrix`` holds diag(K_U) = sigma_k2 per pixel and ``chol`` its square
+    root, both of shape (N,), so memory and the time of each solve are O(N).
+    It offers the same operations as :class:`GramMatrix`. ``solve`` divides
+    by ``chol`` twice, mirroring the two triangular solves of the dense
+    factor, so a unit diagonal returns the right-hand side unchanged.
+    """
+
+    matrix: np.ndarray
+    chol: np.ndarray
+    applied_jitter: float = 0.0
+
+    def __post_init__(self):
+        chol = np.asarray(self.chol, dtype=float)
+        if chol.ndim != 1 or not np.all(np.isfinite(chol)):
+            raise ValueError("diagonal Cholesky factor must be a finite vector")
+        object.__setattr__(self, "chol", chol)
+        for arr in (self.matrix, self.chol):
+            arr.setflags(write=False)
+
+    @property
+    def n_pixels(self):
+        return self.matrix.shape[0]
+
+    def _rows(self, B):
+        """The finite right-hand side B and ``chol`` shaped to scale its rows."""
+        B = np.asarray_chkfinite(B)
+        return B, self.chol.reshape((-1,) + (1,) * (B.ndim - 1))
+
+    def solve(self, B):
+        """K_U^{-1} B; raises ValueError on a non-finite B."""
+        B, d = self._rows(B)
+        return B / d / d
+
+    def half_solve(self, B):
+        """L^{-1} B, so that ||L^{-1} Z^T||_F^2 = tr(Z K_U^{-1} Z^T)."""
+        B, d = self._rows(B)
+        return B / d
+
+    @property
+    def log_det(self):
+        return 2.0 * np.sum(np.log(self.chol))
+
+    def sqrt_matvec(self, E):
+        """E L^T over the last axis of E: maps white noise to covariance K_U."""
+        return E * self.chol
+
 
 def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
     """Factor K, escalating diagonal jitter from 1e-10*scale to 1e-4*scale."""
@@ -136,7 +201,9 @@ def build_gram(grid, kernel):
 
     Returns
     -------
-    GramMatrix
+    GramMatrix or DiagonalGram
+        A :class:`DiagonalGram` for the dirac kernel, whose Gram matrix is
+        ``sigma_k2`` times the identity.
 
     Raises
     ------
@@ -149,9 +216,8 @@ def build_gram(grid, kernel):
     if len(np.unique(grid, axis=0)) != len(grid):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
-        K = kernel.sigma_k2 * np.eye(len(grid))
-        L = np.sqrt(kernel.sigma_k2) * np.eye(len(grid))
-        return GramMatrix(K, L, 0.0)
+        d = np.full(len(grid), kernel.sigma_k2)
+        return DiagonalGram(d, np.sqrt(d))
     K = kernel(grid, grid)
     K = 0.5 * (K + K.T)
     L, jit = _cholesky_with_jitter(K, kernel.sigma_k2, kernel.jitter)
@@ -235,7 +301,7 @@ def sample_latent_field(spec, gram, n_samples, rng):
     rng = np.random.default_rng(rng)
     N = gram.n_pixels
     E = rng.standard_normal((n_samples, spec.P - 1, N))
-    Z = np.sqrt(spec.sigma_a2) * (E @ gram.chol.T)
+    Z = np.sqrt(spec.sigma_a2) * gram.sqrt_matvec(E)
     if spec.mean is not None:
         Z = Z + spec.mean[:, None]
     return Z
@@ -268,7 +334,7 @@ def gp_prior_logpdf(A, spec, gram):
     A : ndarray, shape (P, N)
         Abundance image, strictly interior columns.
     spec : PriorSpec
-    gram : GramMatrix
+    gram : GramMatrix or DiagonalGram
 
     The result reduces exactly to :func:`pixel_prior_logpdf` for a single
     pixel with unit kernel amplitude.

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError
-from .prior import GramMatrix, PriorSpec, sample_latent_field
+from .prior import DiagonalGram, GramMatrix, PriorSpec, sample_latent_field
 
 INIT_MODES = ("prior-draw", "uniform-image")
 
@@ -80,7 +80,7 @@ class PosteriorModel:
     S: np.ndarray
     obs: Observations
     prior: PriorSpec
-    gram: GramMatrix
+    gram: GramMatrix | DiagonalGram
 
     def __post_init__(self):
         S = check_endmembers(self.S, warn=False)
@@ -279,12 +279,7 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a non-finite vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, len(v) + 1)
-    rho = np.max(j[u + (1.0 - css) / j > 0.0])
-    lam = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + lam, 0.0)
+    return _project_columns(v[:, None])[:, 0]
 
 
 def _project_columns(V):

@@ -4,6 +4,7 @@ import pytest
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
+    DiagonalGram,
     GramMatrix,
     KernelSpec,
     PriorSpec,
@@ -168,8 +169,11 @@ def test_gram_off_diagonal_at_length_scale():
 def test_gram_dirac_is_identity():
     grid = square_grid(3, 3)
     gram = build_gram(grid, KernelSpec(kind="dirac"))
-    assert np.array_equal(gram.matrix, np.eye(9))
-    assert np.array_equal(gram.chol, np.eye(9))
+    assert gram.matrix.shape == gram.chol.shape == (9,)
+    assert np.array_equal(gram.matrix, np.ones(9))
+    assert np.array_equal(gram.chol, np.ones(9))
+    B = np.random.default_rng(31).standard_normal((9, 2))
+    assert np.array_equal(gram.solve(B), B)
 
 
 def test_gram_symmetry_and_cholesky():
@@ -299,12 +303,49 @@ def test_gram_solves_reject_nonfinite_rhs(bad):
         gram.half_solve(B)
 
 
+def _diagonal_and_dense(n, sigma_k2):
+    d = np.full(n, sigma_k2)
+    return DiagonalGram(d, np.sqrt(d)), GramMatrix(np.diag(d), np.diag(np.sqrt(d)))
+
+
+def test_diagonal_gram_matches_dense_diagonal():
+    diag, dense = _diagonal_and_dense(6, 1.7)
+    assert diag.n_pixels == dense.n_pixels == 6
+    rng = np.random.default_rng(32)
+    B = rng.standard_normal((6, 2))
+    for op in ("solve", "half_solve"):
+        assert np.max(np.abs(getattr(diag, op)(B) - getattr(dense, op)(B))) < 1e-12
+    assert abs(diag.log_det - dense.log_det) < 1e-12
+    spec = PriorSpec(P=3, sigma_a2=0.6, mean=np.array([0.3, -0.2]))
+    A = rng.dirichlet(np.ones(3), size=6).T
+    assert abs(gp_prior_logpdf(A, spec, diag) - gp_prior_logpdf(A, spec, dense)) < 1e-12
+    Zd = sample_latent_field(spec, diag, 4, rng=33)
+    Zs = sample_latent_field(spec, dense, 4, rng=33)
+    assert np.max(np.abs(Zd - Zs)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diagonal_gram_solves_reject_nonfinite_rhs(bad):
+    diag, dense = _diagonal_and_dense(6, 1.7)
+    B = np.ones((6, 2))
+    B[4, 0] = bad
+    for gram in (diag, dense):
+        with pytest.raises(ValueError):
+            gram.solve(B)
+        with pytest.raises(ValueError):
+            gram.half_solve(B)
+
+
 def test_gram_rejects_nonfinite_factor():
     K = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0)).matrix
     L = np.linalg.cholesky(K)
     L[3, 1] = np.nan
     with pytest.raises(ValueError):
         GramMatrix(K.copy(), L)
+    d = np.ones(4)
+    d[2] = np.nan
+    with pytest.raises(ValueError):
+        DiagonalGram(np.ones(4), d)
 
 
 def test_gp_logpdf_pixel_relabeling_invariance():

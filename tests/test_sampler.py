@@ -5,7 +5,7 @@ import pytest
 
 from simplexuq import geometry
 from simplexuq.errors import DivergenceError
-from simplexuq.prior import KernelSpec, PriorSpec, build_gram, gp_prior_logpdf
+from simplexuq.prior import GramMatrix, KernelSpec, PriorSpec, build_gram, gp_prior_logpdf
 from simplexuq.sampler import (
     Observations,
     PosteriorModel,
@@ -213,6 +213,17 @@ def test_mirror_langevin_seed_determinism_and_constraints():
     assert np.all(c1.abundances > 0.0)
     assert np.max(np.abs(c1.abundances.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(np.isfinite(c1.energy_trace))
+
+
+def test_mirror_langevin_dirac_matches_dense_identity_bytes():
+    model, _ = make_model(w=3, h=3, snr_db=15.0, kind="dirac")
+    N = model.n_pixels
+    dense = PosteriorModel(model.S, model.obs, model.prior, GramMatrix(np.eye(N), np.eye(N)))
+    cfg = SamplerConfig(step_size=1e-3, n_steps=300, burn_in=100, init="prior-draw", seed=6)
+    c1 = mirror_langevin(model, cfg)
+    c2 = mirror_langevin(dense, cfg)
+    assert np.array_equal(c1.abundances, c2.abundances)
+    assert np.array_equal(c1.energy_trace, c2.energy_trace)
 
 
 def test_mirror_langevin_gradient_descent_hook():
