@@ -18,7 +18,6 @@ from .geometry import (
     helmert_basis,
     ilr,
     ilr_inv,
-    mirror_map,
 )
 from .interp import PartialObservation, interpolate
 from .prior import (
@@ -93,7 +92,6 @@ __all__ = [
     "latent_neg_log_posterior",
     "measure_snr",
     "mirror_langevin",
-    "mirror_map",
     "pixel_prior_logpdf",
     "pixel_prior_sample",
     "project_simplex",

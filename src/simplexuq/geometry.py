@@ -221,23 +221,14 @@ def geodesic_path(a, b, t, basis=None):
 def entropy(a):
     """Negative Shannon entropy ``sum_k a_k log a_k`` (in nats).
 
-    This is the convex potential whose gradient, projected on the zero-sum
-    hyperplane and expressed in an orthonormal basis, is the ilr chart; see
-    :func:`mirror_map`.
-    """
-    a = check_interior(a)
-    return np.sum(a * np.log(a), axis=-1)
-
-
-def mirror_map(a, basis=None):
-    """Mirror map of the entropy potential; identical to :func:`ilr`.
-
-    The ambient gradient of :func:`entropy` is ``log a_k + 1``, which
-    equals ``clr(a)`` only after projection onto the zero-sum hyperplane;
-    composing with ``H^T`` gives exactly the ilr coordinates. The identity
+    This is the convex potential whose mirror map is the ilr chart. Its
+    ambient gradient ``log a_k + 1`` equals ``clr(a)`` only after projection
+    onto the zero-sum hyperplane; composing with ``H^T`` gives exactly the
+    ilr coordinates:
 
         ``H^T (I - 11^T/P) (log a + 1) == ilr(a)``
 
-    holds to rounding error and is asserted in the test suite.
+    to rounding error, as the test suite asserts.
     """
-    return ilr(a, basis)
+    a = check_interior(a)
+    return np.sum(a * np.log(a), axis=-1)

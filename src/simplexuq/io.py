@@ -373,20 +373,6 @@ def config_to_prior_spec(cfg):
     return PriorSpec(P=cfg["n_parts"], sigma_a2=prior["sigma_a2"], kernel=kernel, mean=mean)
 
 
-def prior_spec_to_config(spec):
-    """Inverse of `config_to_prior_spec`: the prior section of a run config."""
-    kernel = {
-        "kind": spec.kernel.kind,
-        "length_scale": spec.kernel.length_scale,
-        "sigma_k2": spec.kernel.sigma_k2,
-        "jitter": spec.kernel.jitter,
-    }
-    prior = {"sigma_a2": spec.sigma_a2, "kernel": kernel}
-    if spec.mean is not None:
-        prior["mean"] = [float(v) for v in spec.mean]
-    return {"n_parts": spec.P, "prior": prior}
-
-
 def config_to_sampler_config(cfg):
     from .sampler import SamplerConfig
 
@@ -466,16 +452,6 @@ def bary_to_cart(a, P=None):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     corners = simplex_corners(P or a.shape[1])
     return a @ corners
-
-
-def cart_to_bary(xy, P):
-    """Invert the affine barycentric embedding (exact up to rounding)."""
-    corners = simplex_corners(P)
-    xy = np.atleast_2d(np.asarray(xy, dtype=float))
-    # the square system [corners^T; 1^T] b = [xy; 1] has a unique solution
-    Amat = np.vstack([corners.T, np.ones(P)])
-    rhs = np.hstack([xy, np.ones((len(xy), 1))]).T
-    return np.linalg.solve(Amat, rhs).T
 
 
 def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr=None, svg=True):

@@ -13,7 +13,7 @@ measure on the first P-1 components of each pixel.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from . import geometry
@@ -105,12 +105,6 @@ class GramMatrix:
         """K_U^{-1} B via the Cholesky factor; raises ValueError on a non-finite B."""
         return cho_solve((self.chol, True), np.asarray_chkfinite(B), check_finite=False)
 
-    def half_solve(self, B):
-        """L^{-1} B, so that ||L^{-1} Z^T||_F^2 = tr(Z K_U^{-1} Z^T)."""
-        return solve_triangular(
-            self.chol, np.asarray_chkfinite(B), lower=True, check_finite=False
-        )
-
     @property
     def log_det(self):
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
@@ -127,8 +121,8 @@ class DiagonalGram:
     ``matrix`` holds diag(K_U) = sigma_k2 per pixel and ``chol`` its square
     root, both of shape (N,), so memory and the time of each solve are O(N).
     It offers the same operations as :class:`GramMatrix`. ``solve`` divides
-    by ``chol`` twice, mirroring the two triangular solves of the dense
-    factor, so a unit diagonal returns the right-hand side unchanged.
+    each row of the right-hand side by ``chol`` twice, so a unit diagonal
+    returns the right-hand side unchanged.
     """
 
     matrix: np.ndarray
@@ -147,20 +141,11 @@ class DiagonalGram:
     def n_pixels(self):
         return self.matrix.shape[0]
 
-    def _rows(self, B):
-        """The finite right-hand side B and ``chol`` shaped to scale its rows."""
-        B = np.asarray_chkfinite(B)
-        return B, self.chol.reshape((-1,) + (1,) * (B.ndim - 1))
-
     def solve(self, B):
         """K_U^{-1} B; raises ValueError on a non-finite B."""
-        B, d = self._rows(B)
+        B = np.asarray_chkfinite(B)
+        d = self.chol.reshape((-1,) + (1,) * (B.ndim - 1))
         return B / d / d
-
-    def half_solve(self, B):
-        """L^{-1} B, so that ||L^{-1} Z^T||_F^2 = tr(Z K_U^{-1} Z^T)."""
-        B, d = self._rows(B)
-        return B / d
 
     @property
     def log_det(self):
@@ -172,12 +157,17 @@ class DiagonalGram:
 
 
 def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
-    """Factor K, escalating diagonal jitter from 1e-10*scale to 1e-4*scale."""
+    """Factor K, escalating diagonal jitter from 1e-10*scale to 1e-4*scale.
+
+    The initial jitter is tried first, then only the escalation steps above
+    it: a smaller jitter cannot succeed where a larger one failed.
+    """
     n = K.shape[0]
-    jitters = [initial_jitter] if initial_jitter > 0 else [0.0]
+    jitters = [initial_jitter]
     j = _JITTER_START * scale
     while j <= _JITTER_MAX * scale * (1 + 1e-9):
-        jitters.append(j)
+        if j > initial_jitter * (1 + 1e-9):
+            jitters.append(j)
         j *= 10.0
     for jit in jitters:
         try:
@@ -319,11 +309,15 @@ def gp_prior_sample(spec, gram, n_samples, rng):
     return np.swapaxes(A, -1, -2)
 
 
-def latent_quadratic(Z, spec, gram):
-    """Prior quadratic form tr(Z K_U^{-1} Z^T) / (2 sigma_a2) via triangular solves."""
+def prior_quadratic(Z, spec, gram):
+    """Latent prior quadratic and its gradient from one K_U solve.
+
+    With Zc = Z - mean, returns tr(Zc K_U^{-1} Zc^T) / (2 sigma_a2) and its
+    gradient K_U^{-1} Zc^T / sigma_a2 with respect to Z, shape (P-1, N).
+    """
     Zc = Z - spec.latent_mean[:, None] if spec.mean is not None else Z
-    W = gram.half_solve(Zc.T)
-    return float(np.sum(W * W) / (2.0 * spec.sigma_a2))
+    KinvZt = gram.solve(Zc.T)  # (N, P-1)
+    return np.sum(Zc.T * KinvZt) / (2.0 * spec.sigma_a2), KinvZt.T / spec.sigma_a2
 
 
 def gp_prior_logpdf(A, spec, gram):
@@ -344,7 +338,7 @@ def gp_prior_logpdf(A, spec, gram):
     if N != gram.n_pixels:
         raise ValueError(f"image has {N} pixels but Gram matrix has {gram.n_pixels}")
     Z = geometry.ilr(A.T, spec.H).T
-    quad = latent_quadratic(Z, spec, gram)
+    quad, _ = prior_quadratic(Z, spec, gram)
     norm = (
         -0.5 * (P - 1) * N * np.log(2.0 * np.pi)
         - 0.5 * (P - 1) * N * np.log(spec.sigma_a2)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError
-from .prior import DiagonalGram, GramMatrix, PriorSpec, sample_latent_field
+from .prior import DiagonalGram, GramMatrix, PriorSpec, prior_quadratic, sample_latent_field
 
 INIT_MODES = ("prior-draw", "uniform-image")
 
@@ -102,12 +102,6 @@ class PosteriorModel:
     def P(self):
         return self.prior.P
 
-    def potential(self, Z):
-        return latent_neg_log_posterior(Z, self)
-
-    def gradient(self, Z):
-        return latent_gradient(Z, self)
-
 
 def _check_latent(Z, model):
     Z = np.asarray(Z, dtype=float)
@@ -119,18 +113,14 @@ def _check_latent(Z, model):
 
 
 def _latent_state(Z, model):
-    """Fused potential, gradient and softmax image at Z (single K_U solve).
+    """Fused potential and gradient at Z (single K_U solve).
 
     Overflow to inf is deliberate here: a diverging chain must produce a
     non-finite energy for the caller to report, not a warning.
     """
     spec = model.prior
     with np.errstate(over="ignore", invalid="ignore"):
-        Zc = Z - spec.latent_mean[:, None] if spec.mean is not None else Z
-        KinvZt = model.gram.solve(Zc.T)  # (N, P-1)
-        U = np.sum(Zc.T * KinvZt) / (2.0 * spec.sigma_a2)
-        G = KinvZt.T / spec.sigma_a2
-        A = None
+        U, G = prior_quadratic(Z, spec, model.gram)
         if not model.obs.prior_only:
             A = geometry.softmax((spec.H @ Z).T).T  # (P, N)
             R = model.S @ A - model.obs.X
@@ -138,7 +128,7 @@ def _latent_state(Z, model):
             Ga = model.S.T @ R / model.obs.sigma2
             T = A * Ga - A * np.sum(A * Ga, axis=0, keepdims=True)
             G = G + spec.H.T @ T
-    return float(U), G, A
+    return float(U), G
 
 
 def latent_neg_log_posterior(Z, model):
@@ -158,9 +148,9 @@ def latent_neg_log_posterior(Z, model):
 def latent_gradient(Z, model):
     """Gradient of the latent potential.
 
-    Prior part: K_U^{-1}-solve against the Cholesky factor. Likelihood
-    part, per pixel: H^T (diag(a) - a a^T) S^T (S a - x) / sigma2 with
-    a = softmax(H z).
+    Prior part: K_U^{-1} Z^T / sigma_a2, one solve with the Gram operator.
+    Likelihood part, per pixel: H^T (diag(a) - a a^T) S^T (S a - x) / sigma2
+    with a = softmax(H z).
     """
     Z = _check_latent(Z, model)
     return _latent_state(Z, model)[1]
@@ -188,8 +178,11 @@ class SamplerConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_steps")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if isinstance(self.init, str) and self.init not in INIT_MODES:
-            raise ValueError(f"init must be an array or one of {INIT_MODES}")
+        if isinstance(self.init, str):
+            if self.init not in INIT_MODES:
+                raise ValueError(f"init must be an array or one of {INIT_MODES}")
+        else:
+            object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
     @property
     def n_kept(self):
@@ -222,16 +215,45 @@ class SampleChain:
 def _initial_latent(model, cfg, rng):
     spec = model.prior
     if isinstance(cfg.init, np.ndarray):
-        arr = np.asarray(cfg.init, dtype=float)
-        if arr.shape == (spec.P, model.n_pixels):
-            return geometry.ilr(arr.T, spec.H).T
-        if arr.shape == (spec.P - 1, model.n_pixels):
-            return arr.copy()
-        raise ValueError(f"initial state shape {arr.shape} matches neither image nor latent")
+        if cfg.init.shape == (spec.P, model.n_pixels):
+            return geometry.ilr(cfg.init.T, spec.H).T
+        if cfg.init.shape == (spec.P - 1, model.n_pixels):
+            return cfg.init.copy()
+        raise ValueError(f"initial state shape {cfg.init.shape} matches neither image nor latent")
     if cfg.init == "prior-draw":
         return sample_latent_field(spec, model.gram, 1, rng)[0]
     # uniform-image: ilr_inv(0) is the uniform composition at every pixel
     return np.zeros((spec.P - 1, model.n_pixels))
+
+
+def _langevin(state, x, cfg, rng, inject_noise, sample, project=None):
+    """Unadjusted Langevin from ``x``: the loop both samplers share.
+
+    Update: x <- x - step * grad U(x) + sqrt(2 step) * noise, then
+    ``project`` when given. ``state(x)`` returns U(x) and its gradient;
+    ``sample`` maps a kept state to an abundance image and runs on kept
+    steps only. Returns the kept images and the energy trace.
+    """
+    gamma = cfg.step_size
+    noise_scale = np.sqrt(2.0 * gamma)
+    kept = []
+    energy = np.empty(cfg.n_steps + 1)
+    for t in range(cfg.n_steps):
+        U, G = state(x)
+        energy[t] = U
+        if not np.isfinite(U):
+            raise DivergenceError(t)
+        x = x - gamma * G
+        if inject_noise:
+            x = x + noise_scale * rng.standard_normal(x.shape)
+        if project is not None:
+            x = project(x)
+        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
+            kept.append(sample(x))
+    energy[-1] = state(x)[0]
+    if not np.isfinite(energy[-1]):
+        raise DivergenceError(cfg.n_steps)
+    return np.array(kept), energy
 
 
 def mirror_langevin(model, cfg, inject_noise=True):
@@ -249,24 +271,16 @@ def mirror_langevin(model, cfg, inject_noise=True):
     """
     rng = np.random.default_rng(cfg.seed)
     Z = _initial_latent(model, cfg, rng)
-    gamma = cfg.step_size
-    noise_scale = np.sqrt(2.0 * gamma)
-    kept = []
-    energy = np.empty(cfg.n_steps + 1)
-    for t in range(cfg.n_steps):
-        U, G, _ = _latent_state(Z, model)
-        energy[t] = U
-        if not np.isfinite(U):
-            raise DivergenceError(t)
-        Z = Z - gamma * G
-        if inject_noise:
-            Z = Z + noise_scale * rng.standard_normal(Z.shape)
-        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-            kept.append(geometry.interior_softmax((model.prior.H @ Z).T).T)
-    energy[-1] = latent_neg_log_posterior(Z, model)
-    if not np.isfinite(energy[-1]):
-        raise DivergenceError(cfg.n_steps)
-    return SampleChain(np.array(kept), energy, "mirror-langevin", cfg)
+    H = model.prior.H
+    kept, energy = _langevin(
+        lambda Z: _latent_state(Z, model),
+        Z,
+        cfg,
+        rng,
+        inject_noise,
+        sample=lambda Z: geometry.interior_softmax((H @ Z).T).T,
+    )
+    return SampleChain(kept, energy, "mirror-langevin", cfg)
 
 
 def project_simplex(v):
@@ -305,10 +319,8 @@ def _euclidean_potential_and_gradient(A, model):
     """
     spec = model.prior
     Z = geometry.ilr(A.T, spec.H).T
-    Zc = Z - spec.latent_mean[:, None] if spec.mean is not None else Z
-    KinvZt = model.gram.solve(Zc.T)
-    V = np.sum(np.log(A)) + np.sum(Zc.T * KinvZt) / (2.0 * spec.sigma_a2)
-    G_Z = KinvZt.T / spec.sigma_a2
+    quad, G_Z = prior_quadratic(Z, spec, model.gram)
+    V = np.sum(np.log(A)) + quad
     # d z / d a = H^T diag(1/a) on the tangent space, so the pullback of the
     # latent gradient is (H G_Z) / A; the Jacobian term contributes 1/A.
     G = (1.0 + spec.H @ G_Z) / A
@@ -329,22 +341,13 @@ def projected_ula(model, cfg, inject_noise=True):
     rng = np.random.default_rng(cfg.seed)
     Z0 = _initial_latent(model, cfg, rng)
     A = geometry.ilr_inv(Z0.T, model.prior.H).T
-    gamma = cfg.step_size
-    noise_scale = np.sqrt(2.0 * gamma)
-    kept = []
-    energy = np.empty(cfg.n_steps + 1)
-    for t in range(cfg.n_steps):
-        V, G = _euclidean_potential_and_gradient(A, model)
-        energy[t] = V
-        if not np.isfinite(V):
-            raise DivergenceError(t)
-        A = A - gamma * G
-        if inject_noise:
-            A = A + noise_scale * rng.standard_normal(A.shape)
-        A = geometry.closure(_project_columns(A).T).T
-        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-            kept.append(A.copy())
-    energy[-1], _ = _euclidean_potential_and_gradient(A, model)
-    if not np.isfinite(energy[-1]):
-        raise DivergenceError(cfg.n_steps)
-    return SampleChain(np.array(kept), energy, "projected-ula", cfg)
+    kept, energy = _langevin(
+        lambda A: _euclidean_potential_and_gradient(A, model),
+        A,
+        cfg,
+        rng,
+        inject_noise,
+        sample=lambda A: A,
+        project=lambda A: geometry.closure(_project_columns(A).T).T,
+    )
+    return SampleChain(kept, energy, "projected-ula", cfg)

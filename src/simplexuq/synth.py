@@ -45,7 +45,7 @@ def builtin_endmembers(n_bands=64, n_materials=3):
 def sigma2_from_snr(clean, snr_db):
     """Noise variance matching a target SNR for the clean mixture S A."""
     if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite (use add_noise(..., sigma2=0) for none)")
+        raise ValueError("snr_db must be finite (use synth_generate(..., snr_db=None) for no noise)")
     power = np.mean(np.asarray(clean) ** 2)
     return power / (10.0 ** (snr_db / 10.0))
 

@@ -27,35 +27,44 @@ from . import geometry
 ESTIMATORS = ("barycentric-histogram", "latent-kde")
 
 
-def _as_samples(samples):
+def _as_samples(samples, min_samples=1, interior=True):
     a = np.asarray(samples, dtype=float)
     if a.ndim != 2:
         raise ValueError("samples must be (M, P)")
-    return geometry.check_interior(a, name="samples")
+    if a.shape[0] < min_samples:
+        raise ValueError(f"need at least {min_samples} samples, got {a.shape[0]}")
+    return geometry.check_interior(a, name="samples") if interior else a
+
+
+def _moments(samples, basis=None, geodesic=True):
+    """Moments over axis 0 of (M, ..., P) compositions.
+
+    Returns the Euclidean mean (..., P), the geodesic mean (..., P), the
+    Euclidean and geodesic total variances (...) and the ilr variances
+    (..., P-1). Variances use ddof=1 and are zero for a single sample.
+    With ``geodesic=False`` the three geodesic entries are None and no
+    logarithm is taken, so compositions on the boundary are allowed.
+    """
+    M = samples.shape[0]
+    eu_mean = samples.mean(axis=0)
+    eu_var = samples.var(axis=0, ddof=1).sum(axis=-1) if M > 1 else np.zeros(samples.shape[1:-1])
+    if not geodesic:
+        return eu_mean, None, eu_var, None, None
+    z = geometry.ilr(samples, basis)
+    geo_mean = geometry.ilr_inv(z.mean(axis=0), basis)
+    ilr_var = z.var(axis=0, ddof=1) if M > 1 else np.zeros(z.shape[1:])
+    return eu_mean, geo_mean, eu_var, ilr_var.sum(axis=-1), ilr_var
 
 
 def euclidean_mean(samples):
     """Componentwise average; stays on the simplex by convexity."""
-    a = np.asarray(samples, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    return a.mean(axis=0)
+    return _moments(_as_samples(samples, interior=False), geodesic=False)[0]
 
 
 def geodesic_mean(samples, basis=None):
     """Softmax of the latent average: the minimum squared geodesic
     distance estimator, always strictly interior."""
-    a = _as_samples(samples)
-    return geometry.ilr_inv(geometry.ilr(a, basis).mean(axis=0), basis)
-
-
-def latent_covariance(samples, basis=None):
-    """Empirical covariance of the ilr coordinates (ddof=1)."""
-    a = _as_samples(samples)
-    if a.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    z = geometry.ilr(a, basis)
-    return np.atleast_2d(np.cov(z.T, ddof=1))
+    return _moments(_as_samples(samples), basis)[1]
 
 
 def geodesic_total_variance(samples, basis=None):
@@ -63,20 +72,17 @@ def geodesic_total_variance(samples, basis=None):
 
     Equals the trace of the empirical latent covariance.
     """
-    return float(np.trace(latent_covariance(samples, basis)))
+    return float(_moments(_as_samples(samples, min_samples=2), basis)[3])
 
 
 def ilr_componentwise_variances(samples, basis=None):
     """Diagonal of the latent covariance; sums to the geodesic total variance."""
-    return np.diag(latent_covariance(samples, basis)).copy()
+    return _moments(_as_samples(samples, min_samples=2), basis)[4]
 
 
 def euclidean_total_variance(samples):
     """Trace of the P x P empirical covariance of the raw abundances (ddof=1)."""
-    a = np.asarray(samples, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    return float(np.trace(np.atleast_2d(np.cov(a.T, ddof=1))))
+    return float(_moments(_as_samples(samples, min_samples=2, interior=False), geodesic=False)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +359,6 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
 
 
 @dataclass(frozen=True)
-class PixelSummary:
-    """Per-pixel posterior statistics."""
-
-    euclidean_mean: np.ndarray
-    geodesic_mean: np.ndarray
-    euclidean_total_variance: float
-    geodesic_total_variance: float
-    ilr_componentwise_variances: np.ndarray
-
-
-@dataclass(frozen=True)
 class ImageSummary:
     """Stacked per-pixel statistics for a sampled image chain.
 
@@ -387,28 +382,10 @@ class ImageSummary:
     def geodesic_std(self):
         return np.sqrt(self.geodesic_total_variance)
 
-    def pixel(self, n):
-        return PixelSummary(
-            euclidean_mean=self.euclidean_mean[:, n],
-            geodesic_mean=self.geodesic_mean[:, n],
-            euclidean_total_variance=float(self.euclidean_total_variance[n]),
-            geodesic_total_variance=float(self.geodesic_total_variance[n]),
-            ilr_componentwise_variances=self.ilr_variances[:, n],
-        )
-
     def as_map(self, values):
         if self.shape is None:
             raise ValueError("summary carries no grid shape")
         return np.asarray(values).reshape(self.shape)
-
-    def maps(self):
-        """Named 2-D maps: per-material geodesic means and both std maps."""
-        out = {}
-        for k in range(self.geodesic_mean.shape[0]):
-            out[f"geodesic_mean_{k + 1}"] = self.as_map(self.geodesic_mean[k])
-        out["geodesic_std"] = self.as_map(self.geodesic_std)
-        out["euclidean_std"] = self.as_map(self.euclidean_std)
-        return out
 
 
 def summarize_image(chain, shape=None, basis=None):
@@ -423,23 +400,13 @@ def summarize_image(chain, shape=None, basis=None):
     samples = chain if isinstance(chain, np.ndarray) else chain.abundances
     if samples.ndim != 3 or samples.shape[0] < 1:
         raise ValueError("need a nonempty chain of images (M, P, N)")
-    M, P, N = samples.shape
-    Zs = geometry.ilr(np.swapaxes(samples, 1, 2), basis)  # (M, N, P-1)
-    zbar = Zs.mean(axis=0)
-    geo_mean = geometry.ilr_inv(zbar, basis).T
-    eu_mean = samples.mean(axis=0)
-    if M > 1:
-        ilr_var = Zs.var(axis=0, ddof=1).T  # (P-1, N)
-        eu_var = samples.var(axis=0, ddof=1).sum(axis=0)
-    else:
-        ilr_var = np.zeros((P - 1, N))
-        eu_var = np.zeros(N)
+    eu_mean, geo_mean, eu_var, geo_var, ilr_var = _moments(np.swapaxes(samples, 1, 2), basis)
     return ImageSummary(
-        euclidean_mean=eu_mean,
-        geodesic_mean=geo_mean,
+        euclidean_mean=eu_mean.T,
+        geodesic_mean=geo_mean.T,
         euclidean_total_variance=eu_var,
-        geodesic_total_variance=ilr_var.sum(axis=0),
-        ilr_variances=ilr_var,
+        geodesic_total_variance=geo_var,
+        ilr_variances=ilr_var.T,
         shape=tuple(shape) if shape is not None else None,
     )
 

@@ -14,7 +14,6 @@ from simplexuq.geometry import (
     helmert_basis,
     ilr,
     ilr_inv,
-    mirror_map,
     softmax,
 )
 
@@ -278,13 +277,6 @@ def test_entropy_permutation_invariant():
     assert np.max(np.abs(entropy(a) - entropy(a[:, perm]))) < 1e-14
 
 
-def test_mirror_map_is_ilr():
-    rng = np.random.default_rng(32)
-    a = random_interior(rng, 50, 3)
-    assert np.array_equal(mirror_map(a), ilr(a))
-    assert np.allclose(mirror_map(np.full(3, 1.0 / 3.0)), 0.0, atol=1e-14)
-
-
 def test_mirror_map_projected_gradient_identity():
     # The ambient entropy gradient is log a + 1; projecting it onto the
     # zero-sum hyperplane and rotating by H^T must reproduce ilr(a).
@@ -294,9 +286,9 @@ def test_mirror_map_projected_gradient_identity():
     H = helmert_basis(P)
     grad = np.log(a) + 1.0
     proj = grad - grad.mean(axis=-1, keepdims=True)
-    assert np.max(np.abs(proj @ H - mirror_map(a))) < 1e-12
+    assert np.max(np.abs(proj @ H - ilr(a))) < 1e-12
     direct = (np.log(a) - np.log(a).mean(axis=-1, keepdims=True)) @ H
-    assert np.max(np.abs(direct - mirror_map(a))) < 1e-12
+    assert np.max(np.abs(direct - ilr(a))) < 1e-12
 
 
 def test_softmax_rows_sum_to_one():

@@ -226,21 +226,22 @@ def test_config_bad_json(tmp_path):
 
 
 def test_prior_spec_config_round_trip():
-    from simplexuq.prior import KernelSpec, PriorSpec
+    from simplexuq.prior import KernelSpec
 
-    spec = PriorSpec(
-        P=4,
-        sigma_a2=0.7,
-        kernel=KernelSpec(kind="exponential", length_scale=5.0, sigma_k2=1.2),
-        mean=np.array([0.1, -0.2, 0.3]),
-    )
-    doc = sio.prior_spec_to_config(spec)
-    back = sio.config_to_prior_spec(sio.validate_config({**doc, "sampler": {
-        "step_size": 0.1, "n_steps": 10, "seed": 0}}))
-    assert back.P == spec.P
-    assert back.sigma_a2 == spec.sigma_a2
-    assert back.kernel == spec.kernel
-    assert np.array_equal(back.mean, spec.mean)
+    doc = {
+        "n_parts": 4,
+        "prior": {
+            "sigma_a2": 0.7,
+            "kernel": {"kind": "exponential", "length_scale": 5.0, "sigma_k2": 1.2, "jitter": 0.0},
+            "mean": [0.1, -0.2, 0.3],
+        },
+        "sampler": {"step_size": 0.1, "n_steps": 10, "seed": 0},
+    }
+    spec = sio.config_to_prior_spec(sio.validate_config(doc))
+    assert spec.P == 4
+    assert spec.sigma_a2 == 0.7
+    assert spec.kernel == KernelSpec(kind="exponential", length_scale=5.0, sigma_k2=1.2)
+    assert np.array_equal(spec.mean, [0.1, -0.2, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +284,6 @@ def test_ternary_corner_and_centroid():
     assert np.max(np.abs(xy - corners)) < 1e-15
     centroid = sio.bary_to_cart(np.full((1, 3), 1.0 / 3.0))[0]
     assert np.max(np.abs(centroid - corners.mean(axis=0))) < 1e-15
-
-
-def test_barycentric_round_trip():
-    rng = np.random.default_rng(5)
-    for P in (3, 4):
-        a = rng.dirichlet(np.ones(P), size=200)
-        back = sio.cart_to_bary(sio.bary_to_cart(a, P), P)
-        assert np.max(np.abs(back - a)) < 1e-12
 
 
 def test_ternary_export_files(tmp_path):

@@ -12,9 +12,9 @@ from simplexuq.prior import (
     build_gram,
     gp_prior_logpdf,
     gp_prior_sample,
-    latent_quadratic,
     pixel_prior_logpdf,
     pixel_prior_sample,
+    prior_quadratic,
     sample_latent_field,
 )
 
@@ -201,6 +201,26 @@ def test_cholesky_jitter_escalation_and_failure():
         _cholesky_with_jitter(bad, scale=1.0)
 
 
+def test_cholesky_jitter_ladder_starts_above_initial_jitter(monkeypatch):
+    # Eigenvalue -5e-7: an initial jitter of 1e-7 fails, and so would every
+    # escalation step at or below it; only 1e-6 can succeed.
+    Q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((3, 3)))
+    K = Q @ np.diag([1.0, 0.5, -5e-7]) @ Q.T
+    K = 0.5 * (K + K.T)
+    _, jit_from_zero = _cholesky_with_jitter(K, scale=1.0)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(M):
+        calls.append(M)
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    _, jit = _cholesky_with_jitter(K, scale=1.0, initial_jitter=1e-7)
+    assert len(calls) == 2
+    assert jit == jit_from_zero
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(kind="gaussian")
@@ -288,8 +308,6 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
     assert gram.chol.flags.f_contiguous
     B = np.random.default_rng(30).standard_normal((64, 2))
     assert np.max(np.abs(gram.solve(B) - np.linalg.solve(gram.matrix, B))) < 1e-10
-    W = gram.half_solve(B)
-    assert np.max(np.abs(gram.chol @ W - B)) < 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -299,8 +317,6 @@ def test_gram_solves_reject_nonfinite_rhs(bad):
     B[5, 1] = bad
     with pytest.raises(ValueError):
         gram.solve(B)
-    with pytest.raises(ValueError):
-        gram.half_solve(B)
 
 
 def _diagonal_and_dense(n, sigma_k2):
@@ -313,8 +329,7 @@ def test_diagonal_gram_matches_dense_diagonal():
     assert diag.n_pixels == dense.n_pixels == 6
     rng = np.random.default_rng(32)
     B = rng.standard_normal((6, 2))
-    for op in ("solve", "half_solve"):
-        assert np.max(np.abs(getattr(diag, op)(B) - getattr(dense, op)(B))) < 1e-12
+    assert np.max(np.abs(diag.solve(B) - dense.solve(B))) < 1e-12
     assert abs(diag.log_det - dense.log_det) < 1e-12
     spec = PriorSpec(P=3, sigma_a2=0.6, mean=np.array([0.3, -0.2]))
     A = rng.dirichlet(np.ones(3), size=6).T
@@ -332,8 +347,6 @@ def test_diagonal_gram_solves_reject_nonfinite_rhs(bad):
     for gram in (diag, dense):
         with pytest.raises(ValueError):
             gram.solve(B)
-        with pytest.raises(ValueError):
-            gram.half_solve(B)
 
 
 def test_gram_rejects_nonfinite_factor():
@@ -391,12 +404,14 @@ def test_gp_logpdf_dense_inverse_oracle():
 def test_latent_quadratic_matches_trace_form():
     grid = square_grid(3, 3)
     gram = build_gram(grid, KernelSpec(length_scale=2.0))
-    spec = PriorSpec(P=4, sigma_a2=1.3)
+    spec = PriorSpec(P=4, sigma_a2=1.3, mean=np.array([0.4, -0.1, 0.2]))
     rng = np.random.default_rng(14)
     Z = rng.standard_normal((3, 9))
-    via_chol = latent_quadratic(Z, spec, gram)
-    via_trace = np.trace(Z @ np.linalg.inv(gram.matrix) @ Z.T) / (2.0 * spec.sigma_a2)
-    assert abs(via_chol - via_trace) < 1e-10
+    quad, grad = prior_quadratic(Z, spec, gram)
+    Zc = Z - spec.mean[:, None]
+    Kinv = np.linalg.inv(gram.matrix)
+    assert abs(quad - np.trace(Zc @ Kinv @ Zc.T) / (2.0 * spec.sigma_a2)) < 1e-10
+    assert np.max(np.abs(grad - Zc @ Kinv / spec.sigma_a2)) < 1e-10
 
 
 def test_gp_logpdf_dimension_mismatch():

@@ -331,6 +331,19 @@ def test_init_modes():
         mirror_langevin(model, bad)
 
 
+def test_list_init_matches_array_init():
+    model, res = make_model(snr_db=15.0)
+    for sampler in (mirror_langevin, projected_ula):
+        chains = [
+            sampler(model, SamplerConfig(step_size=1e-6, n_steps=1, burn_in=0, seed=0, init=init),
+                    inject_noise=False)
+            for init in (res.A.tolist(), res.A)
+        ]
+        assert np.array_equal(chains[0].abundances, chains[1].abundances)
+        assert np.array_equal(chains[0].energy_trace, chains[1].energy_trace)
+        assert np.max(np.abs(chains[0].abundances[0] - res.A)) < 1e-3
+
+
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(step_size=0.0, n_steps=10)

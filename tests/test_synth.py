@@ -67,6 +67,11 @@ def test_synth_determinism_and_gt_constraints():
     assert np.max(np.abs(r1.A.sum(axis=0) - 1.0)) < 1e-12
 
 
+def test_sigma2_from_snr_rejects_infinite_snr():
+    with pytest.raises(ValueError, match=r"synth_generate\(\.\.\., snr_db=None\)"):
+        sigma2_from_snr(np.ones((4, 3)), np.inf)
+
+
 def test_synth_validation():
     S, _ = builtin_endmembers(16, 3)
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(kind="dirac"))

@@ -316,14 +316,15 @@ def test_summarize_shapes_and_pixel_accessor():
     s = summarize_image(chain, shape=(2, 4))
     assert s.euclidean_mean.shape == (3, 8)
     assert s.ilr_variances.shape == (2, 8)
-    px = s.pixel(5)
-    assert abs(px.geodesic_total_variance - s.geodesic_total_variance[5]) < 1e-15
-    assert abs(px.ilr_componentwise_variances.sum() - px.geodesic_total_variance) < 1e-10
-    maps = s.maps()
-    assert set(maps) == {"geodesic_mean_1", "geodesic_mean_2", "geodesic_mean_3",
-                         "geodesic_std", "euclidean_std"}
-    for m in maps.values():
-        assert m.shape == (2, 4)
+    assert s.as_map(s.euclidean_std).shape == (2, 4)
+    # every pixel's statistics equal the per-sample functions on its samples
+    for n in range(8):
+        px = chain[:, :, n]
+        assert np.max(np.abs(s.euclidean_mean[:, n] - euclidean_mean(px))) < 1e-12
+        assert np.max(np.abs(s.geodesic_mean[:, n] - geodesic_mean(px))) < 1e-12
+        assert np.max(np.abs(s.ilr_variances[:, n] - ilr_componentwise_variances(px))) < 1e-12
+        assert abs(s.euclidean_total_variance[n] - euclidean_total_variance(px)) < 1e-12
+        assert abs(s.geodesic_total_variance[n] - geodesic_total_variance(px)) < 1e-12
 
 
 def test_summarize_requires_nonempty_chain():
