@@ -8,6 +8,11 @@ Jacobian of the prior cancels exactly against the change of variables, so
 the latent potential is just the matrix-normal quadratic plus the data
 misfit evaluated through the softmax.
 
+The misfit ||S A - X||^2 / (2 sigma2) sees X only through its least-squares
+coefficients Xs on S and the residual norm c = ||X - S Xs||^2, because
+X - S Xs is orthogonal to range(S). Both are computed once per model, so a
+Langevin step pays O(P^2 N) for the likelihood whatever the band count L.
+
 Two samplers are provided. `mirror_langevin` runs unadjusted Langevin in
 the mirror (ilr) dual space, so every emitted image is strictly interior by
 construction. `projected_ula` is the Euclidean baseline: Langevin steps on
@@ -75,12 +80,20 @@ class Observations:
 
 @dataclass(frozen=True)
 class PosteriorModel:
-    """Everything needed to evaluate the unmixing posterior in latent space."""
+    """Everything needed to evaluate the unmixing posterior in latent space.
+
+    The misfit's sufficient statistics are derived once here: ``_StS`` is
+    S^T S (P x P), ``_Xs`` the least-squares coefficients of X on S (P x N)
+    and ``_c`` the squared norm of the residual X - S Xs.
+    """
 
     S: np.ndarray
     obs: Observations
     prior: PriorSpec
     gram: GramMatrix | DiagonalGram
+    _StS: np.ndarray = field(init=False, repr=False, compare=False)
+    _Xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = check_endmembers(self.S, warn=False)
@@ -88,11 +101,21 @@ class PosteriorModel:
         L, P = S.shape
         if P != self.prior.P:
             raise ValueError(f"endmember count {P} != prior parts {self.prior.P}")
-        if self.obs.X.shape != (L, self.gram.n_pixels):
+        X = self.obs.X
+        if X.shape != (L, self.gram.n_pixels):
             raise ValueError(
-                f"observations shape {self.obs.X.shape} inconsistent with "
+                f"observations shape {X.shape} inconsistent with "
                 f"{L} bands x {self.gram.n_pixels} pixels"
             )
+        Xs = np.linalg.lstsq(S, X, rcond=None)[0]
+        # One refinement step: lstsq alone leaves Xs off by about cond(S) eps,
+        # a visible share of A - Xs when the data fit A almost exactly.
+        Xs += np.linalg.lstsq(S, X - S @ Xs, rcond=None)[0]
+        # c from the explicit residual: ||X||^2 - ||S Xs||^2 would cancel.
+        R = X - S @ Xs
+        object.__setattr__(self, "_StS", S.T @ S)
+        object.__setattr__(self, "_Xs", Xs)
+        object.__setattr__(self, "_c", float(np.vdot(R, R)))
 
     @property
     def n_pixels(self):
@@ -112,6 +135,18 @@ def _check_latent(Z, model):
     return Z
 
 
+def _misfit(A, model):
+    """Data misfit ||S A - X||^2 / (2 sigma2) and its gradient in A.
+
+    With D = A - Xs, S A - X splits into S D, which lies in range(S), and
+    S Xs - X, which is orthogonal to it; so the misfit is
+    (<D, S^T S D> + c) / (2 sigma2) and the gradient S^T S D / sigma2.
+    """
+    D = A - model._Xs
+    G = model._StS @ D
+    return (np.vdot(D, G) + model._c) / (2.0 * model.obs.sigma2), G / model.obs.sigma2
+
+
 def _latent_state(Z, model):
     """Fused potential and gradient at Z (single K_U solve).
 
@@ -123,9 +158,8 @@ def _latent_state(Z, model):
         U, G = prior_quadratic(Z, spec, model.gram)
         if not model.obs.prior_only:
             A = geometry.softmax((spec.H @ Z).T).T  # (P, N)
-            R = model.S @ A - model.obs.X
-            U += np.sum(R * R) / (2.0 * model.obs.sigma2)
-            Ga = model.S.T @ R / model.obs.sigma2
+            misfit, Ga = _misfit(A, model)
+            U += misfit
             T = A * Ga - A * np.sum(A * Ga, axis=0, keepdims=True)
             G = G + spec.H.T @ T
     return float(U), G
@@ -150,7 +184,9 @@ def latent_gradient(Z, model):
 
     Prior part: K_U^{-1} Z^T / sigma_a2, one solve with the Gram operator.
     Likelihood part, per pixel: H^T (diag(a) - a a^T) S^T (S a - x) / sigma2
-    with a = softmax(H z).
+    with a = softmax(H z). S^T (S a - x) is evaluated as S^T S (a - xs), with
+    xs the least-squares coefficients of x on S, at O(P^2) cost per pixel
+    whatever the band count.
     """
     Z = _check_latent(Z, model)
     return _latent_state(Z, model)[1]
@@ -187,6 +223,26 @@ class SamplerConfig:
     @property
     def n_kept(self):
         return (self.n_steps - self.burn_in + self.thinning - 1) // self.thinning
+
+    def _scalars(self):
+        return (self.step_size, self.n_steps, self.burn_in, self.thinning, self.seed)
+
+    # An array init compares by np.array_equal; the generated methods would
+    # take the truth value of an elementwise comparison, or hash an array.
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.init, other.init
+        if isinstance(a, str) != isinstance(b, str) or self._scalars() != other._scalars():
+            return False
+        return a == b if isinstance(a, str) else np.array_equal(a, b)
+
+    def __hash__(self):
+        init = self.init
+        if not isinstance(init, str):
+            # + 0.0 turns -0.0 into 0.0, which np.array_equal counts as equal
+            init = (init.shape, (init + 0.0).tobytes())
+        return hash((self._scalars(), init))
 
 
 @dataclass(frozen=True)
@@ -236,7 +292,7 @@ def _langevin(state, x, cfg, rng, inject_noise, sample, project=None):
     """
     gamma = cfg.step_size
     noise_scale = np.sqrt(2.0 * gamma)
-    kept = []
+    kept = None
     energy = np.empty(cfg.n_steps + 1)
     for t in range(cfg.n_steps):
         U, G = state(x)
@@ -249,11 +305,14 @@ def _langevin(state, x, cfg, rng, inject_noise, sample, project=None):
         if project is not None:
             x = project(x)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-            kept.append(sample(x))
+            image = sample(x)
+            if kept is None:
+                kept = np.empty((cfg.n_kept,) + image.shape)
+            kept[(t - cfg.burn_in) // cfg.thinning] = image
     energy[-1] = state(x)[0]
     if not np.isfinite(energy[-1]):
         raise DivergenceError(cfg.n_steps)
-    return np.array(kept), energy
+    return kept, energy
 
 
 def mirror_langevin(model, cfg, inject_noise=True):
@@ -325,9 +384,9 @@ def _euclidean_potential_and_gradient(A, model):
     # latent gradient is (H G_Z) / A; the Jacobian term contributes 1/A.
     G = (1.0 + spec.H @ G_Z) / A
     if not model.obs.prior_only:
-        R = model.S @ A - model.obs.X
-        V += np.sum(R * R) / (2.0 * model.obs.sigma2)
-        G = G + model.S.T @ R / model.obs.sigma2
+        misfit, Ga = _misfit(A, model)
+        V += misfit
+        G = G + Ga
     return float(V), G
 
 

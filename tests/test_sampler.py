@@ -5,12 +5,21 @@ import pytest
 
 from simplexuq import geometry
 from simplexuq.errors import DivergenceError
-from simplexuq.prior import GramMatrix, KernelSpec, PriorSpec, build_gram, gp_prior_logpdf
+from simplexuq.prior import (
+    GramMatrix,
+    KernelSpec,
+    PriorSpec,
+    build_gram,
+    gp_prior_logpdf,
+    prior_quadratic,
+)
 from simplexuq.sampler import (
     Observations,
     PosteriorModel,
     SamplerConfig,
     _euclidean_potential_and_gradient,
+    _initial_latent,
+    _misfit,
     check_endmembers,
     latent_gradient,
     latent_neg_log_posterior,
@@ -149,6 +158,86 @@ def test_gradient_likelihood_term_vanishes_on_exact_fit():
     exact = PosteriorModel(S, Observations(S @ A, 0.5), spec, gram)
     prior_only = PosteriorModel(S, Observations(S @ A, np.inf), spec, gram)
     assert np.max(np.abs(latent_gradient(Z, exact) - latent_gradient(Z, prior_only))) < 1e-12
+
+
+def direct_misfit(A, model):
+    """The misfit and its abundance gradient from the (L, N) residual."""
+    R = model.S @ A - model.obs.X
+    return np.sum(R * R) / (2.0 * model.obs.sigma2), model.S.T @ R / model.obs.sigma2
+
+
+def prior_only_twin(model):
+    return PosteriorModel(model.S, Observations(model.obs.X, np.inf), model.prior, model.gram)
+
+
+def model_on_4x4(S, X, sigma2):
+    grid = square_grid(4, 4)
+    kernel = KernelSpec(length_scale=2.0)
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=kernel)
+    return PosteriorModel(S, Observations(X, sigma2), spec, build_gram(grid, kernel))
+
+
+def misfit_case(name):
+    """(A, model) for one comparison of the misfit helper with the residual."""
+    rng = np.random.default_rng(11)
+    A = geometry.ilr_inv(rng.standard_normal((16, 2))).T
+    if name == "scene":
+        return A, make_model(w=4, h=4, snr_db=15.0)[0]
+    if name == "underdetermined":
+        with pytest.warns(UserWarning, match="underdetermined"):
+            S = check_endmembers(builtin_endmembers(2, 3)[0])
+        return A, model_on_4x4(S, S @ A + 0.01 * rng.standard_normal((2, 16)), 1e-4)
+    # noise-free data, evaluated a zero-sum 1e-4 perturbation away from the truth
+    S = builtin_endmembers(32, 3)[0]
+    delta = 1e-4 * rng.standard_normal(A.shape)
+    return A + delta - delta.mean(axis=0), model_on_4x4(S, S @ A, 1e-8)
+
+
+@pytest.mark.parametrize("name", ["scene", "underdetermined", "noise-free-perturbed"])
+def test_misfit_matches_direct_residual(name):
+    A, model = misfit_case(name)
+    U, G = _misfit(A, model)
+    U_ref, G_ref = direct_misfit(A, model)
+    assert abs(U - U_ref) <= 1e-12 * U_ref
+    assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+    # the Euclidean potential is its prior part plus the same misfit
+    V, G_V = _euclidean_potential_and_gradient(A, model)
+    V0, G0 = _euclidean_potential_and_gradient(A, prior_only_twin(model))
+    assert abs(V - (V0 + U_ref)) <= 1e-12 * (abs(V0) + U_ref)
+    assert np.max(np.abs(G_V - (G0 + G_ref))) <= 1e-12 * np.max(np.abs(G0) + np.abs(G_ref))
+
+
+def test_misfit_at_noise_free_truth():
+    # The direct residual is exactly zero at the truth, so the helper is held
+    # to 1e-12 of the magnitudes that the residual cancels.
+    A = misfit_case("scene")[0]
+    S = builtin_endmembers(32, 3)[0]
+    model = model_on_4x4(S, S @ A, 1e-8)
+    X, sigma2 = model.obs.X, model.obs.sigma2
+    U_scale = np.sum(X * X) / (2.0 * sigma2)
+    G_scale = np.max(np.abs(model.S.T @ X)) / sigma2
+    U, G = _misfit(A, model)
+    assert 0.0 <= U <= 1e-12 * U_scale
+    assert np.max(np.abs(G)) <= 1e-12 * G_scale
+    V, G_V = _euclidean_potential_and_gradient(A, model)
+    V0, G0 = _euclidean_potential_and_gradient(A, prior_only_twin(model))
+    assert abs(V - V0) <= 1e-12 * (abs(V0) + U_scale)
+    assert np.max(np.abs(G_V - G0)) <= 1e-12 * (np.max(np.abs(G0)) + G_scale)
+
+
+def test_prior_only_chain_ignores_observations():
+    # sigma2 = inf: the energy trace is the prior quadratic alone, whatever X is
+    model, _ = make_model(w=4, h=4, snr_db=15.0, prior_only=True)
+    other = PosteriorModel(model.S, Observations(np.zeros_like(model.obs.X), np.inf),
+                           model.prior, model.gram)
+    cfg = SamplerConfig(step_size=1e-3, n_steps=200, burn_in=50, seed=2)
+    for sampler in (mirror_langevin, projected_ula):
+        c1, c2 = sampler(model, cfg), sampler(other, cfg)
+        assert np.array_equal(c1.abundances, c2.abundances)
+        assert np.array_equal(c1.energy_trace, c2.energy_trace)
+    Z0 = _initial_latent(model, cfg, np.random.default_rng(cfg.seed))
+    U0 = prior_quadratic(Z0, model.prior, model.gram)[0]
+    assert mirror_langevin(model, cfg).energy_trace[0] == U0
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +447,36 @@ def test_sampler_config_validation():
     assert cfg.n_kept == 80
 
 
+def test_sampler_config_equality_and_hash():
+    def cfg(init):
+        return SamplerConfig(step_size=1e-3, n_steps=2, init=init)
+
+    a, b = cfg(np.zeros((3, 1))), cfg(np.zeros((3, 1)))
+    assert a == b and hash(a) == hash(b)
+    assert a == cfg(-np.zeros((3, 1))) and hash(a) == hash(cfg(-np.zeros((3, 1))))
+    assert a != cfg(np.ones((3, 1)))
+    assert a != cfg(np.zeros((1, 3)))
+    assert a != cfg("uniform-image")
+    assert cfg("uniform-image") == cfg("uniform-image")
+    assert hash(cfg("uniform-image")) == hash(cfg("uniform-image"))
+    assert cfg("uniform-image") != cfg("prior-draw")
+    assert a != SamplerConfig(step_size=1e-3, n_steps=2, init=np.zeros((3, 1)), seed=1)
+    assert len({a, b, cfg("prior-draw")}) == 2
+
+
 def test_thinning_sample_count():
     model, _ = make_model(snr_db=15.0)
     cfg = SamplerConfig(step_size=1e-3, n_steps=130, burn_in=30, thinning=10, seed=3)
     chain = mirror_langevin(model, cfg)
     assert chain.n_samples == 10
     assert chain.latents().shape == (10, 4, 2)
+    for sampler, step in ((mirror_langevin, 1e-3), (projected_ula, 5e-5)):
+        cfg = SamplerConfig(step_size=step, n_steps=23, burn_in=4, thinning=5, seed=3)
+        every = SamplerConfig(step_size=step, n_steps=23, burn_in=0, seed=3)
+        chain = sampler(model, cfg)
+        assert chain.abundances.shape == (cfg.n_kept, 3, 4) == (4, 3, 4)
+        # the same noise is drawn on every step, kept or not
+        assert np.array_equal(chain.abundances, sampler(model, every).abundances[4::5])
 
 
 def test_model_validation():
