@@ -151,9 +151,9 @@ def ilr(a, basis=None):
 def softmax(w):
     """Numerically stable softmax along the last axis."""
     w = np.asarray(w, dtype=float)
-    shifted = w - w.max(axis=-1, keepdims=True)
+    shifted = w - np.maximum.reduce(w, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 # Strict-interior floor for ilr_inv: far above the smallest double but small
@@ -167,6 +167,19 @@ def interior_softmax(w):
     if np.any(a < _SOFTMAX_FLOOR):
         a = np.maximum(a, _SOFTMAX_FLOOR)
         a = a / a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def _interior_softmax_each(w):
+    """:func:`interior_softmax` of each ``w[i]`` of a stack, in one pass.
+
+    The floor rule acts per stacked array: only an array with a component
+    below the floor is floored and renormalised, as a whole.
+    """
+    a = softmax(w)
+    lowest = np.minimum.reduce(a, axis=tuple(range(1, a.ndim)))
+    for i in np.flatnonzero(lowest < _SOFTMAX_FLOOR):
+        a[i] = interior_softmax(w[i])
     return a
 
 

@@ -11,9 +11,10 @@ measure on the first P-1 components of each pixel.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from . import geometry
@@ -67,43 +68,69 @@ class KernelSpec:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Positive-definite spatial Gram matrix with its Cholesky factor.
+    """Positive-definite spatial Gram matrix K_U, held as its Cholesky factor
+    and its precision K_U^{-1}.
 
-    ``matrix`` includes the kernel amplitude sigma_k2 on its diagonal;
-    ``applied_jitter`` records the diagonal boost that made the Cholesky
-    succeed (0.0 when none was needed). Instances are immutable and safe to
-    share across threads.
-
-    ``chol`` is stored column-major, the layout LAPACK reads, and checked
-    for finiteness once here; the solves then pass it to LAPACK without a
-    copy or a rescan and check only the right-hand side.
+    ``chol`` (lower, column-major) serves prior draws, initial states and
+    ``log_det``. The precision serves every solve: a Langevin step
+    multiplies by it instead of running two triangular solves. It is
+    formed from ``chol`` by LAPACK ``dpotri`` on the first solve, so an
+    operator used only for prior draws never pays for it, and is then kept
+    full, symmetric, C-ordered and read-only. ``matrix``, the Gram matrix
+    itself (with the kernel amplitude sigma_k2 on its diagonal), is not
+    stored: each access recomputes it as ``chol @ chol.T``, so memory stays
+    at two N x N arrays. ``applied_jitter`` records the diagonal boost that
+    made the Cholesky succeed (0.0 when none was needed). Instances are
+    immutable and safe to share across threads (two threads that solve
+    first may both form the same precision); they compare and hash by
+    identity.
 
     This is the operator of the exponential kernel. The dirac kernel's Gram
     matrix is diagonal and is held by :class:`DiagonalGram`, which stores
     only the diagonal: O(N) memory and O(N) time per solve.
     """
 
-    matrix: np.ndarray
     chol: np.ndarray
     applied_jitter: float = 0.0
 
     def __post_init__(self):
         chol = np.asfortranarray(self.chol, dtype=float)
-        if not np.all(np.isfinite(chol)):
-            raise ValueError("Cholesky factor must be finite")
+        if chol.ndim != 2 or chol.shape[0] != chol.shape[1] or not np.all(np.isfinite(chol)):
+            raise ValueError("Cholesky factor must be a finite square matrix")
+        if not np.all(np.diag(chol) != 0.0):
+            raise ValueError("Cholesky factor must have a nonzero diagonal")
         object.__setattr__(self, "chol", chol)
-        for arr in (self.matrix, self.chol):
-            arr.setflags(write=False)
+        chol.setflags(write=False)
+
+    @cached_property
+    def _precision(self):
+        """K_U^{-1}, full, symmetric and C-ordered."""
+        inv = lapack.dpotri(self.chol, lower=1)[0]
+        # dpotri fills the lower triangle; mirror it into the upper one, in
+        # place. The symmetric F-ordered array, transposed, is C-ordered.
+        for j in range(len(inv) - 1):
+            inv[j, j + 1 :] = inv[j + 1 :, j]
+        inv.setflags(write=False)
+        return inv.T
+
+    @property
+    def matrix(self):
+        """K_U, recomputed from the factor on each access."""
+        return self.chol @ self.chol.T
 
     @property
     def n_pixels(self):
-        return self.matrix.shape[0]
+        return self.chol.shape[0]
+
+    def _rsolve(self, Zc):
+        """Zc K_U^{-1} over the last axis of Zc."""
+        return Zc @ self._precision
 
     def solve(self, B):
-        """K_U^{-1} B via the Cholesky factor; raises ValueError on a non-finite B."""
-        return cho_solve((self.chol, True), np.asarray_chkfinite(B), check_finite=False)
+        """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
+        return self._rsolve(np.asarray_chkfinite(B).T).T
 
     @property
     def log_det(self):
@@ -114,15 +141,15 @@ class GramMatrix:
         return E @ self.chol.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalGram:
     """Diagonal Gram matrix of the dirac kernel, stored as its diagonal.
 
     ``matrix`` holds diag(K_U) = sigma_k2 per pixel and ``chol`` its square
     root, both of shape (N,), so memory and the time of each solve are O(N).
-    It offers the same operations as :class:`GramMatrix`. ``solve`` divides
-    each row of the right-hand side by ``chol`` twice, so a unit diagonal
-    returns the right-hand side unchanged.
+    It offers the same operations as :class:`GramMatrix`. Its solves divide
+    the right-hand side by ``chol`` twice, so a unit diagonal returns the
+    right-hand side unchanged.
     """
 
     matrix: np.ndarray
@@ -141,11 +168,13 @@ class DiagonalGram:
     def n_pixels(self):
         return self.matrix.shape[0]
 
+    def _rsolve(self, Zc):
+        """Zc K_U^{-1} over the last axis of Zc."""
+        return Zc / self.chol / self.chol
+
     def solve(self, B):
-        """K_U^{-1} B; raises ValueError on a non-finite B."""
-        B = np.asarray_chkfinite(B)
-        d = self.chol.reshape((-1,) + (1,) * (B.ndim - 1))
-        return B / d / d
+        """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
+        return self._rsolve(np.asarray_chkfinite(B).T).T
 
     @property
     def log_det(self):
@@ -170,9 +199,13 @@ def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
             jitters.append(j)
         j *= 10.0
     for jit in jitters:
+        Kj = K
+        if jit > 0:
+            # Jitter on the diagonal of a copy: no N x N identity temporaries.
+            Kj = K.copy()
+            Kj.reshape(-1)[:: n + 1] += jit
         try:
-            L = np.linalg.cholesky(K + jit * np.eye(n) if jit > 0 else K)
-            return L, jit
+            return np.linalg.cholesky(Kj), jit
         except np.linalg.LinAlgError:
             continue
     raise IllConditionedKernelError(
@@ -209,11 +242,11 @@ def build_gram(grid, kernel):
         d = np.full(len(grid), kernel.sigma_k2)
         return DiagonalGram(d, np.sqrt(d))
     K = kernel(grid, grid)
-    K = 0.5 * (K + K.T)
+    K = K + K.T
+    K *= 0.5
     L, jit = _cholesky_with_jitter(K, kernel.sigma_k2, kernel.jitter)
-    if jit > 0:
-        K = K + jit * np.eye(len(grid))
-    return GramMatrix(K, L, jit)
+    del K  # before GramMatrix makes its column-major copy of the factor
+    return GramMatrix(L, jit)
 
 
 @dataclass(frozen=True)
@@ -310,14 +343,14 @@ def gp_prior_sample(spec, gram, n_samples, rng):
 
 
 def prior_quadratic(Z, spec, gram):
-    """Latent prior quadratic and its gradient from one K_U solve.
+    """Latent prior quadratic and its gradient from one product with K_U^{-1}.
 
     With Zc = Z - mean, returns tr(Zc K_U^{-1} Zc^T) / (2 sigma_a2) and its
-    gradient K_U^{-1} Zc^T / sigma_a2 with respect to Z, shape (P-1, N).
+    gradient Zc K_U^{-1} / sigma_a2 with respect to Z, shape (P-1, N).
     """
-    Zc = Z - spec.latent_mean[:, None] if spec.mean is not None else Z
-    KinvZt = gram.solve(Zc.T)  # (N, P-1)
-    return np.sum(Zc.T * KinvZt) / (2.0 * spec.sigma_a2), KinvZt.T / spec.sigma_a2
+    Zc = Z - spec.mean[:, None] if spec.mean is not None else Z
+    ZcKinv = gram._rsolve(Zc)
+    return np.add.reduce(Zc * ZcKinv, axis=None) / (2.0 * spec.sigma_a2), ZcKinv / spec.sigma_a2
 
 
 def gp_prior_logpdf(A, spec, gram):

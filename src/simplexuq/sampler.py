@@ -20,6 +20,7 @@ the abundances themselves followed by an exact projection onto the
 simplex.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,11 +56,12 @@ def check_endmembers(S, warn=True):
     return S
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     """Observed spectra X (L x N) with the likelihood noise variance.
 
     ``sigma2 = inf`` disables the likelihood entirely (prior-only model).
+    Instances compare and hash by identity.
     """
 
     X: np.ndarray
@@ -78,22 +80,26 @@ class Observations:
         return np.isinf(self.sigma2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorModel:
     """Everything needed to evaluate the unmixing posterior in latent space.
 
     The misfit's sufficient statistics are derived once here: ``_StS`` is
     S^T S (P x P), ``_Xs`` the least-squares coefficients of X on S (P x N)
-    and ``_c`` the squared norm of the residual X - S Xs.
+    and ``_c`` the squared norm of the residual X - S Xs. So are the
+    per-step constants ``_H`` (the ilr basis) and ``_prior_only``.
+    Instances compare and hash by identity.
     """
 
     S: np.ndarray
     obs: Observations
     prior: PriorSpec
     gram: GramMatrix | DiagonalGram
-    _StS: np.ndarray = field(init=False, repr=False, compare=False)
-    _Xs: np.ndarray = field(init=False, repr=False, compare=False)
-    _c: float = field(init=False, repr=False, compare=False)
+    _StS: np.ndarray = field(init=False, repr=False)
+    _Xs: np.ndarray = field(init=False, repr=False)
+    _c: float = field(init=False, repr=False)
+    _H: np.ndarray = field(init=False, repr=False)
+    _prior_only: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         S = check_endmembers(self.S, warn=False)
@@ -116,6 +122,8 @@ class PosteriorModel:
         object.__setattr__(self, "_StS", S.T @ S)
         object.__setattr__(self, "_Xs", Xs)
         object.__setattr__(self, "_c", float(np.vdot(R, R)))
+        object.__setattr__(self, "_H", self.prior.H)
+        object.__setattr__(self, "_prior_only", bool(self.obs.prior_only))
 
     @property
     def n_pixels(self):
@@ -148,20 +156,21 @@ def _misfit(A, model):
 
 
 def _latent_state(Z, model):
-    """Fused potential and gradient at Z (single K_U solve).
+    """Fused potential and gradient at Z (one product with K_U^{-1}).
 
-    Overflow to inf is deliberate here: a diverging chain must produce a
-    non-finite energy for the caller to report, not a warning.
+    The one evaluation behind the chain, `latent_neg_log_posterior` and
+    `latent_gradient`. Overflow to inf is deliberate: a diverging chain must
+    produce a non-finite energy for the caller to report, so callers run it
+    under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    spec = model.prior
-    with np.errstate(over="ignore", invalid="ignore"):
-        U, G = prior_quadratic(Z, spec, model.gram)
-        if not model.obs.prior_only:
-            A = geometry.softmax((spec.H @ Z).T).T  # (P, N)
-            misfit, Ga = _misfit(A, model)
-            U += misfit
-            T = A * Ga - A * np.sum(A * Ga, axis=0, keepdims=True)
-            G = G + spec.H.T @ T
+    U, G = prior_quadratic(Z, model.prior, model.gram)
+    if not model._prior_only:
+        A = geometry.softmax((model._H @ Z).T).T  # (P, N)
+        misfit, Ga = _misfit(A, model)
+        U += misfit
+        AGa = A * Ga
+        T = AGa - A * np.add.reduce(AGa, axis=0, keepdims=True)
+        G = G + model._H.T @ T
     return float(U), G
 
 
@@ -176,20 +185,23 @@ def latent_neg_log_posterior(Z, model):
     latent space.
     """
     Z = _check_latent(Z, model)
-    return _latent_state(Z, model)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _latent_state(Z, model)[0]
 
 
 def latent_gradient(Z, model):
     """Gradient of the latent potential.
 
-    Prior part: K_U^{-1} Z^T / sigma_a2, one solve with the Gram operator.
+    Prior part: Z K_U^{-1} / sigma_a2, one product with the Gram operator's
+    precision.
     Likelihood part, per pixel: H^T (diag(a) - a a^T) S^T (S a - x) / sigma2
     with a = softmax(H z). S^T (S a - x) is evaluated as S^T S (a - xs), with
     xs the least-squares coefficients of x on S, at O(P^2) cost per pixel
     whatever the band count.
     """
     Z = _check_latent(Z, model)
-    return _latent_state(Z, model)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _latent_state(Z, model)[1]
 
 
 @dataclass(frozen=True)
@@ -245,13 +257,14 @@ class SamplerConfig:
         return hash((self._scalars(), init))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleChain:
     """Posterior samples (M, P, N) plus the energy trace.
 
     ``energy_trace[0]`` is the potential of the initial state and
     ``energy_trace[t]`` the potential after the t-th update (length
     ``n_steps + 1``); it is finite everywhere for a successful run.
+    Instances compare and hash by identity.
     """
 
     abundances: np.ndarray
@@ -282,36 +295,61 @@ def _initial_latent(model, cfg, rng):
     return np.zeros((spec.P - 1, model.n_pixels))
 
 
-def _langevin(state, x, cfg, rng, inject_noise, sample, project=None):
+# Noise is drawn and kept states are buffered a block of steps at a time;
+# a block holds at most this many steps and this many doubles per buffer.
+_BLOCK_STEPS = 1024
+_BLOCK_DOUBLES = 1 << 13
+
+
+def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
     """Unadjusted Langevin from ``x``: the loop both samplers share.
 
     Update: x <- x - step * grad U(x) + sqrt(2 step) * noise, then
-    ``project`` when given. ``state(x)`` returns U(x) and its gradient;
-    ``sample`` maps a kept state to an abundance image and runs on kept
-    steps only. Returns the kept images and the energy trace.
+    ``project`` when given. ``state(x)`` returns U(x) and its gradient.
+    Kept states are buffered a block at a time and ``images`` maps each
+    buffer, a stack of states, to a stack of abundance images. The noise of
+    a block is drawn at once, which gives the same numbers as one draw per
+    step. Returns the kept images and the energy trace.
     """
     gamma = cfg.step_size
-    noise_scale = np.sqrt(2.0 * gamma)
+    noise_scale = math.sqrt(2.0 * gamma)
+    n_steps, burn_in, thinning = cfg.n_steps, cfg.burn_in, cfg.thinning
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_DOUBLES // x.size))
+    noise = np.empty((block,) + x.shape) if inject_noise else None
+    states = np.empty((block,) + x.shape)
     kept = None
-    energy = np.empty(cfg.n_steps + 1)
-    for t in range(cfg.n_steps):
-        U, G = state(x)
-        energy[t] = U
-        if not np.isfinite(U):
-            raise DivergenceError(t)
-        x = x - gamma * G
-        if inject_noise:
-            x = x + noise_scale * rng.standard_normal(x.shape)
-        if project is not None:
-            x = project(x)
-        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-            image = sample(x)
-            if kept is None:
-                kept = np.empty((cfg.n_kept,) + image.shape)
-            kept[(t - cfg.burn_in) // cfg.thinning] = image
-    energy[-1] = state(x)[0]
-    if not np.isfinite(energy[-1]):
-        raise DivergenceError(cfg.n_steps)
+    n_kept = 0
+    energy = np.empty(n_steps + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            if inject_noise:
+                eps = noise[: stop - start]
+                rng.standard_normal(out=eps)
+                eps *= noise_scale
+            n_buf = 0
+            for t in range(start, stop):
+                U, G = state(x)
+                energy[t] = U
+                if not math.isfinite(U):
+                    raise DivergenceError(t)
+                x = x - gamma * G
+                if inject_noise:
+                    x += eps[t - start]
+                if project is not None:
+                    x = project(x)
+                if t >= burn_in and (t - burn_in) % thinning == 0:
+                    states[n_buf] = x
+                    n_buf += 1
+            if n_buf:
+                imgs = images(states[:n_buf])
+                if kept is None:
+                    kept = np.empty((cfg.n_kept,) + imgs.shape[1:])
+                kept[n_kept : n_kept + n_buf] = imgs
+                n_kept += n_buf
+        energy[-1] = state(x)[0]
+    if not math.isfinite(energy[-1]):
+        raise DivergenceError(n_steps)
     return kept, energy
 
 
@@ -330,14 +368,13 @@ def mirror_langevin(model, cfg, inject_noise=True):
     """
     rng = np.random.default_rng(cfg.seed)
     Z = _initial_latent(model, cfg, rng)
-    H = model.prior.H
+    H = model._H
+
+    def images(Zs):  # (M, P-1, N) -> (M, P, N), softmax over the parts
+        return np.swapaxes(geometry._interior_softmax_each(np.swapaxes(H @ Zs, 1, 2)), 1, 2)
+
     kept, energy = _langevin(
-        lambda Z: _latent_state(Z, model),
-        Z,
-        cfg,
-        rng,
-        inject_noise,
-        sample=lambda Z: geometry.interior_softmax((H @ Z).T).T,
+        lambda Z: _latent_state(Z, model), Z, cfg, rng, inject_noise, images
     )
     return SampleChain(kept, energy, "mirror-langevin", cfg)
 
@@ -376,14 +413,14 @@ def _euclidean_potential_and_gradient(A, model):
     boundary. What pushes iterates back is the prior quadratic, whose
     log^2 growth in ilr coordinates dominates near the boundary.
     """
-    spec = model.prior
-    Z = geometry.ilr(A.T, spec.H).T
-    quad, G_Z = prior_quadratic(Z, spec, model.gram)
-    V = np.sum(np.log(A)) + quad
+    H = model._H
+    Z = geometry.ilr(A.T, H).T
+    quad, G_Z = prior_quadratic(Z, model.prior, model.gram)
+    V = np.add.reduce(np.log(A), axis=None) + quad
     # d z / d a = H^T diag(1/a) on the tangent space, so the pullback of the
     # latent gradient is (H G_Z) / A; the Jacobian term contributes 1/A.
-    G = (1.0 + spec.H @ G_Z) / A
-    if not model.obs.prior_only:
+    G = (1.0 + H @ G_Z) / A
+    if not model._prior_only:
         misfit, Ga = _misfit(A, model)
         V += misfit
         G = G + Ga
@@ -406,7 +443,7 @@ def projected_ula(model, cfg, inject_noise=True):
         cfg,
         rng,
         inject_noise,
-        sample=lambda A: A,
+        images=lambda As: As,
         project=lambda A: geometry.closure(_project_columns(A).T).T,
     )
     return SampleChain(kept, energy, "projected-ula", cfg)

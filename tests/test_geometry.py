@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from simplexuq.errors import InvalidDimensionError, SimplexBoundaryError
 from simplexuq.geometry import (
+    _interior_softmax_each,
     alr,
     closure,
     clr,
@@ -14,6 +15,7 @@ from simplexuq.geometry import (
     helmert_basis,
     ilr,
     ilr_inv,
+    interior_softmax,
     softmax,
 )
 
@@ -297,3 +299,18 @@ def test_softmax_rows_sum_to_one():
     s = softmax(w)
     assert np.all(s > 0.0)
     assert np.max(np.abs(s.sum(axis=-1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("P", [3, 12])
+def test_interior_softmax_each_floors_per_stacked_image(P):
+    # A stack of (N, P) images in the layout the sampler maps: images 1
+    # and 3 have a component below the 1e-300 floor, images 0 and 2 not.
+    rng = np.random.default_rng(40)
+    W = np.swapaxes(rng.standard_normal((4, P, 5)), 1, 2)
+    W[1, 2, 0] = 800.0
+    W[3, 0, -1] = -900.0
+    got = _interior_softmax_each(W)
+    for i in range(4):
+        assert np.array_equal(got[i], interior_softmax(W[i]))
+    floored = got.min(axis=(1, 2)) < 1e-299
+    assert list(floored) == [False, True, False, True]

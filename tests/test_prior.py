@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,90 @@ def test_cholesky_jitter_ladder_starts_above_initial_jitter(monkeypatch):
     assert jit == jit_from_zero
 
 
+def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch):
+    # The jitter goes on the diagonal of a copy; every matrix handed to the
+    # factorization, and the factor build_gram keeps, must be exactly what
+    # K + jit * I gives, with K = (K + K^T) / 2.
+    grid = square_grid(6, 5)
+    Q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((4, 4)))
+    indefinite = Q @ np.diag([1.0, 0.5, 0.2, -5e-7]) @ Q.T
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def recording(M):
+        calls.append(M.copy())
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    for K, initial in ((indefinite, 0.0), (indefinite, 1e-7)):
+        calls.clear()
+        L, jit = _cholesky_with_jitter(K, 1.0, initial)
+        assert jit > 0 and len(calls) >= 2
+        assert np.array_equal(calls[-1], K + jit * np.eye(len(K)))
+        assert np.array_equal(L, cholesky(K + jit * np.eye(len(K))))
+    for kernel, want_jitter in (
+        (KernelSpec(length_scale=3.0), 0.0),
+        (KernelSpec(length_scale=3.0, jitter=1e-3), 1e-3),
+    ):
+        calls.clear()
+        gram = build_gram(grid, kernel)
+        K = kernel(grid, grid)
+        K = 0.5 * (K + K.T)
+        if want_jitter > 0:
+            K = K + want_jitter * np.eye(len(grid))
+        assert gram.applied_jitter == want_jitter
+        assert len(calls) == 1 and np.array_equal(calls[0], K)
+        assert np.array_equal(gram.chol, cholesky(K))
+
+
+def test_gram_stores_factor_and_precision_only():
+    grid = square_grid(8, 6)
+    n = len(grid)
+    gram = build_gram(grid, KernelSpec(length_scale=3.0))
+
+    def stored():
+        return [v for v in vars(gram).values() if isinstance(v, np.ndarray)]
+
+    # the factor only, until the first solve forms the precision
+    assert len(stored()) == 1 and stored()[0] is gram.chol
+    Zc = np.random.default_rng(17).standard_normal((2, n))
+    ZcKinv = gram._rsolve(Zc)
+    assert len(stored()) == 2 and all(v.shape == (n, n) for v in stored())
+    P = gram._precision
+    assert P.flags.c_contiguous and not P.flags.writeable
+    assert np.array_equal(P, P.T)
+    K = gram.matrix
+    assert np.array_equal(K, gram.chol @ gram.chol.T)
+    assert np.max(np.abs(P @ K - np.eye(n))) < 1e-10
+    assert np.max(np.abs(ZcKinv - np.linalg.solve(K, Zc.T).T)) < 1e-10
+    assert np.array_equal(gram.solve(Zc.T), gram._rsolve(Zc).T)
+    with pytest.raises(ValueError):
+        GramMatrix(np.diag([1.0, 0.0, 2.0]))
+
+
+def test_gram_peak_memory_is_three_matrices():
+    # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
+    # space) a build peaks at three N x N arrays at most (the jittered one
+    # holds K, its jittered copy and the factor) and keeps the factor; the
+    # first solve adds the precision and peaks at those two arrays.
+    grid = square_grid(24, 24)
+    nbytes = len(grid) ** 2 * 8
+    Zc = np.ones((2, len(grid)))
+    for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=5.0, jitter=1e-6)):
+        tracemalloc.start()
+        try:
+            gram = build_gram(grid, kernel)
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gram._rsolve(Zc)
+            solved, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 3.05 * nbytes and built <= 1.05 * nbytes
+        assert solve_peak <= 2.05 * nbytes and solved <= 2.05 * nbytes
+        del gram
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(kind="gaussian")
@@ -321,7 +407,7 @@ def test_gram_solves_reject_nonfinite_rhs(bad):
 
 def _diagonal_and_dense(n, sigma_k2):
     d = np.full(n, sigma_k2)
-    return DiagonalGram(d, np.sqrt(d)), GramMatrix(np.diag(d), np.diag(np.sqrt(d)))
+    return DiagonalGram(d, np.sqrt(d)), GramMatrix(np.diag(np.sqrt(d)))
 
 
 def test_diagonal_gram_matches_dense_diagonal():
@@ -354,7 +440,7 @@ def test_gram_rejects_nonfinite_factor():
     L = np.linalg.cholesky(K)
     L[3, 1] = np.nan
     with pytest.raises(ValueError):
-        GramMatrix(K.copy(), L)
+        GramMatrix(L)
     d = np.ones(4)
     d[2] = np.nan
     with pytest.raises(ValueError):
@@ -369,7 +455,7 @@ def test_gp_logpdf_pixel_relabeling_invariance():
     A = rng.dirichlet(np.ones(3), size=6).T
     perm = rng.permutation(6)
     Kp = gram.matrix[np.ix_(perm, perm)]
-    gram_p = GramMatrix(Kp.copy(), np.linalg.cholesky(Kp))
+    gram_p = GramMatrix(np.linalg.cholesky(Kp))
     assert abs(gp_prior_logpdf(A, spec, gram) - gp_prior_logpdf(A[:, perm], spec, gram_p)) < 1e-10
 
 

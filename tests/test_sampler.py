@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from simplexuq import geometry
+from simplexuq import geometry, sampler as sampler_module
 from simplexuq.errors import DivergenceError
 from simplexuq.prior import (
     GramMatrix,
@@ -19,7 +19,9 @@ from simplexuq.sampler import (
     SamplerConfig,
     _euclidean_potential_and_gradient,
     _initial_latent,
+    _latent_state,
     _misfit,
+    _project_columns,
     check_endmembers,
     latent_gradient,
     latent_neg_log_posterior,
@@ -307,7 +309,7 @@ def test_mirror_langevin_seed_determinism_and_constraints():
 def test_mirror_langevin_dirac_matches_dense_identity_bytes():
     model, _ = make_model(w=3, h=3, snr_db=15.0, kind="dirac")
     N = model.n_pixels
-    dense = PosteriorModel(model.S, model.obs, model.prior, GramMatrix(np.eye(N), np.eye(N)))
+    dense = PosteriorModel(model.S, model.obs, model.prior, GramMatrix(np.eye(N)))
     cfg = SamplerConfig(step_size=1e-3, n_steps=300, burn_in=100, init="prior-draw", seed=6)
     c1 = mirror_langevin(model, cfg)
     c2 = mirror_langevin(dense, cfg)
@@ -509,3 +511,162 @@ def test_chain_latents_roundtrip():
     z = chain.latents()
     back = geometry.ilr_inv(z)
     assert np.max(np.abs(np.swapaxes(back, 1, 2) - chain.abundances)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the block loop against a plain per-step loop
+# ---------------------------------------------------------------------------
+
+
+def reference_chain(sampler, model, cfg, inject_noise=True):
+    """Both samplers as a plain loop: one noise draw per step, one
+    interior_softmax per kept step, one state evaluation per step."""
+    rng = np.random.default_rng(cfg.seed)
+    Z = _initial_latent(model, cfg, rng)
+    H = model.prior.H
+    if sampler is mirror_langevin:
+        x = Z
+
+        def state(Z):
+            return _latent_state(Z, model)
+
+        def image(Z):
+            return geometry.interior_softmax((H @ Z).T).T
+
+        def project(Z):
+            return Z
+    else:
+        x = geometry.ilr_inv(Z.T, H).T
+
+        def state(A):
+            return _euclidean_potential_and_gradient(A, model)
+
+        def image(A):
+            return A
+
+        def project(A):
+            return geometry.closure(_project_columns(A).T).T
+
+    kept, energy = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.n_steps):
+            U, G = state(x)
+            energy.append(U)
+            if not np.isfinite(U):
+                raise DivergenceError(t)
+            x = x - cfg.step_size * G
+            if inject_noise:
+                x = x + np.sqrt(2.0 * cfg.step_size) * rng.standard_normal(x.shape)
+            x = project(x)
+            if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
+                kept.append(image(x))
+        energy.append(state(x)[0])
+    if not np.isfinite(energy[-1]):
+        raise DivergenceError(cfg.n_steps)
+    return np.array(kept), np.array(energy)
+
+
+# (n_steps, burn_in, thinning, inject_noise); with blocks of 7 steps none
+# of the lengths is a multiple of the block
+BLOCK_CASES = [
+    (45, 10, 1, True),
+    (45, 10, 4, True),
+    (30, 0, 3, True),
+    (1, 0, 1, True),
+    (23, 5, 2, False),
+]
+
+
+@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
+def test_block_loop_matches_reference_loop_dirac(sampler, monkeypatch):
+    model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
+    step = 1e-3 if sampler is mirror_langevin else 5e-5
+    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
+    for n_steps, burn_in, thinning, noise in BLOCK_CASES:
+        cfg = SamplerConfig(step_size=step, n_steps=n_steps, burn_in=burn_in,
+                            thinning=thinning, seed=n_steps)
+        chain = sampler(model, cfg, inject_noise=noise)
+        A, E = reference_chain(sampler, model, cfg, inject_noise=noise)
+        assert chain.abundances.shape == A.shape == (cfg.n_kept, 3, 12)
+        assert np.array_equal(chain.abundances, A)
+        assert np.array_equal(chain.energy_trace, E)
+
+
+@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
+def test_block_loop_matches_reference_loop_exponential_with_mean(sampler, monkeypatch):
+    grid = square_grid(3, 3)
+    kernel = KernelSpec(length_scale=2.0)
+    spec = PriorSpec(P=3, sigma_a2=0.7, kernel=kernel, mean=np.array([0.5, -0.4]))
+    S, _ = builtin_endmembers(32, 3)
+    res = synth_generate(S, grid, spec, snr_db=15.0, rng=3)
+    model = PosteriorModel(S, Observations(res.X, res.sigma2), spec, build_gram(grid, kernel))
+    step = 1e-3 if sampler is mirror_langevin else 5e-5
+    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
+    for n_steps, burn_in, thinning, noise in BLOCK_CASES:
+        cfg = SamplerConfig(step_size=step, n_steps=n_steps, burn_in=burn_in,
+                            thinning=thinning, seed=n_steps + 1)
+        chain = sampler(model, cfg, inject_noise=noise)
+        A, E = reference_chain(sampler, model, cfg, inject_noise=noise)
+        assert chain.abundances.shape == A.shape
+        assert np.max(np.abs(chain.abundances - A)) <= 1e-12
+        assert np.max(np.abs(chain.energy_trace - E) / np.abs(E)) <= 1e-12
+
+
+def test_block_loop_matches_reference_loop_default_blocks():
+    # 2500 steps of a 2 x 16 state: blocks of 256 steps, the last one partial
+    model, _ = make_model(w=4, h=4, snr_db=15.0, kind="dirac")
+    for sampler, step in ((mirror_langevin, 1e-3), (projected_ula, 5e-5)):
+        cfg = SamplerConfig(step_size=step, n_steps=2500, burn_in=500, thinning=3, seed=4)
+        chain = sampler(model, cfg)
+        A, E = reference_chain(sampler, model, cfg)
+        assert np.array_equal(chain.abundances, A)
+        assert np.array_equal(chain.energy_trace, E)
+
+
+def test_block_loop_keeps_the_per_image_softmax_floor():
+    # Gradient descent on the prior from a huge latent state: the first kept
+    # images have a softmax component below the 1e-300 floor, which floors
+    # and renormalises that whole image; the later ones in the same block
+    # do not, and must come out as their plain softmax.
+    grid = square_grid(2, 2)
+    kernel = KernelSpec(kind="dirac")
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=kernel)
+    S, _ = builtin_endmembers(16, 3)
+    model = PosteriorModel(S, Observations(np.zeros((16, 4)), np.inf), spec,
+                           build_gram(grid, kernel))
+    Z0 = np.array([[900.0, 0.3, -0.2, 0.1], [0.0, 0.4, 0.2, -0.3]])
+    cfg = SamplerConfig(step_size=0.05, n_steps=30, burn_in=0, init=Z0, seed=1)
+    chain = mirror_langevin(model, cfg, inject_noise=False)
+    A, E = reference_chain(mirror_langevin, model, cfg, inject_noise=False)
+    floored = chain.abundances.min(axis=(1, 2)) < 1e-299
+    assert floored.any() and not floored.all()
+    assert np.array_equal(chain.abundances, A)
+    assert np.array_equal(chain.energy_trace, E)
+
+
+def test_block_loop_diverges_at_the_reference_step():
+    model, _ = make_model(snr_db=25.0)
+    cfg = SamplerConfig(step_size=100.0, n_steps=5000, burn_in=100, seed=5)
+    with pytest.raises(DivergenceError) as want:
+        reference_chain(mirror_langevin, model, cfg)
+    with pytest.raises(DivergenceError) as got:
+        mirror_langevin(model, cfg)
+    assert got.value.step == want.value.step
+
+
+def test_models_and_chains_compare_and_hash_by_identity():
+    model, _ = make_model()
+    twin = PosteriorModel(model.S, model.obs, model.prior, model.gram)
+    cfg = SamplerConfig(step_size=1e-3, n_steps=5, burn_in=0, seed=1)
+    pairs = [
+        (Observations(np.zeros((2, 2)), 1.0), Observations(np.zeros((2, 2)), 1.0)),
+        (model, twin),
+        (mirror_langevin(model, cfg), mirror_langevin(model, cfg)),
+        (model.gram, build_gram(square_grid(2, 2), model.prior.kernel)),
+        (build_gram(square_grid(2, 2), KernelSpec(kind="dirac")),
+         build_gram(square_grid(2, 2), KernelSpec(kind="dirac"))),
+    ]
+    for a, b in pairs:
+        assert a == a and hash(a) == hash(a)
+        assert not a == b and a != b
+        assert len({a, b}) == 2 and a in {a} and b not in {a}
