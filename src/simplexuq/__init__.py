@@ -38,19 +38,15 @@ from .sampler import (
     latent_gradient,
     latent_neg_log_posterior,
     mirror_langevin,
-    project_simplex,
     projected_ula,
 )
-from .synth import builtin_endmembers, measure_snr, sigma2_from_snr, synth_generate
+from .synth import builtin_endmembers, sigma2_from_snr, synth_generate
 from .uq import (
     HdrResult,
     ImageSummary,
     euclidean_mean,
-    euclidean_total_variance,
     geodesic_mean,
-    geodesic_total_variance,
     hdr,
-    ilr_componentwise_variances,
     summarize_image,
 )
 
@@ -75,26 +71,21 @@ __all__ = [
     "clr",
     "entropy",
     "euclidean_mean",
-    "euclidean_total_variance",
     "geodesic_distance",
     "geodesic_mean",
     "geodesic_path",
-    "geodesic_total_variance",
     "gp_prior_logpdf",
     "gp_prior_sample",
     "hdr",
     "helmert_basis",
     "ilr",
-    "ilr_componentwise_variances",
     "ilr_inv",
     "interpolate",
     "latent_gradient",
     "latent_neg_log_posterior",
-    "measure_snr",
     "mirror_langevin",
     "pixel_prior_logpdf",
     "pixel_prior_sample",
-    "project_simplex",
     "projected_ula",
     "sigma2_from_snr",
     "summarize_image",

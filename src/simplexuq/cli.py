@@ -31,10 +31,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _load_cfg(path):
-    return sio.load_run_config(path)
-
-
 def _grid_from_cfg(cfg):
     g = cfg.get("grid")
     if not g or "width" not in g or "height" not in g:
@@ -82,7 +78,7 @@ def cmd_transform(args):
 
 
 def cmd_synth(args):
-    cfg = _load_cfg(args.config)
+    cfg = sio.load_run_config(args.config)
     grid, w, h = _grid_from_cfg(cfg)
     S, names = _endmembers_from_cfg(cfg)
     spec = sio.config_to_prior_spec(cfg)
@@ -108,7 +104,7 @@ def cmd_synth(args):
 
 
 def cmd_sample_prior(args):
-    cfg = _load_cfg(args.config)
+    cfg = sio.load_run_config(args.config)
     grid, w, h = _grid_from_cfg(cfg)
     spec = sio.config_to_prior_spec(cfg)
     gram = build_gram(grid, spec.kernel)
@@ -119,7 +115,7 @@ def cmd_sample_prior(args):
 
 
 def cmd_interpolate(args):
-    cfg = _load_cfg(args.config)
+    cfg = sio.load_run_config(args.config)
     grid, w, h = _grid_from_cfg(cfg)
     spec = sio.config_to_prior_spec(cfg)
     paths = cfg.get("paths", {})
@@ -138,7 +134,7 @@ def cmd_interpolate(args):
 
 
 def cmd_unmix(args):
-    cfg = _load_cfg(args.config)
+    cfg = sio.load_run_config(args.config)
     paths = cfg.get("paths", {})
     if "cube" not in paths:
         raise ConfigError("unmix needs paths.cube")
@@ -185,7 +181,7 @@ def cmd_unmix(args):
 
 
 def cmd_uq(args):
-    cfg = _load_cfg(args.config)
+    cfg = sio.load_run_config(args.config)
     paths = cfg.get("paths", {})
     if "stack" not in paths:
         raise ConfigError("uq needs paths.stack (a sampled chain)")

@@ -17,14 +17,14 @@ from . import geometry
 from .errors import IllConditionedKernelError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialObservation:
     """Compositions observed at a subset of pixels.
 
     ``indices`` are row-major pixel indices into the grid, ``values`` is
     the (P, K) matrix of observed compositions (strictly interior) and
     ``nugget`` the latent observation-noise variance (0 for exact
-    interpolation).
+    interpolation). Instances compare and hash by identity.
     """
 
     indices: np.ndarray

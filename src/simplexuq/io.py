@@ -241,11 +241,9 @@ def write_float_csv(path, arr, header=None):
     _atomic_write_text(path, buf.getvalue())
 
 
-def read_float_csv(path, skip_header=False):
+def read_float_csv(path):
     with open(path, "r", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    if skip_header:
-        rows = rows[1:]
     return np.array([[float(c) for c in row] for row in rows])
 
 
@@ -454,7 +452,7 @@ def bary_to_cart(a, P=None):
     return a @ corners
 
 
-def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr=None, svg=True):
+def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr=None):
     """Write plot-ready ternary (P=3) or tetrahedral (P=4) scatter data.
 
     Produces ``<prefix>_samples.csv`` with cartesian coordinates,
@@ -498,7 +496,7 @@ def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr
                 wr.writerow([int(cell), vi] + [format(c, ".17g") for c in v])
         _atomic_write_text(f"{prefix}_hdr_cells.csv", buf.getvalue())
 
-    if svg and P == 3:
+    if P == 3:
         _write_ternary_svg(f"{prefix}.svg", xy, mean_rows, mean_names, hdr_polys)
 
 

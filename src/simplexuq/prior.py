@@ -249,20 +249,20 @@ def build_gram(grid, kernel):
     return GramMatrix(L, jit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Hyperparameters of the latent prior.
 
     ``sigma_a2`` is the isotropic latent variance per ilr dimension,
-    ``kernel`` the spatial covariance, ``basis`` the orthonormal ilr basis
-    and ``mean`` an optional latent mean vector (length P-1, defaults to
-    zero; a nonzero mean biases the prior toward a vertex or edge).
+    ``kernel`` the spatial covariance and ``mean`` an optional latent mean
+    vector (length P-1, defaults to zero; a nonzero mean biases the prior
+    toward a vertex or edge). Latent coordinates are taken in the Helmert
+    basis ``H``. Instances compare and hash by identity.
     """
 
     P: int
     sigma_a2: float
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    basis: np.ndarray | None = None
     mean: np.ndarray | None = None
 
     def __post_init__(self):
@@ -270,11 +270,6 @@ class PriorSpec:
             raise ValueError("need at least 2 parts")
         if not self.sigma_a2 > 0:
             raise ValueError("sigma_a2 must be positive")
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=float)
-            if b.shape != (self.P, self.P - 1):
-                raise ValueError(f"basis shape {b.shape} inconsistent with P={self.P}")
-            object.__setattr__(self, "basis", b)
         if self.mean is not None:
             m = np.asarray(self.mean, dtype=float)
             if m.shape != (self.P - 1,):
@@ -283,7 +278,7 @@ class PriorSpec:
 
     @property
     def H(self):
-        return self.basis if self.basis is not None else geometry.helmert_basis(self.P)
+        return geometry.helmert_basis(self.P)
 
     @property
     def latent_mean(self):

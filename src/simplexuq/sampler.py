@@ -204,9 +204,12 @@ def latent_gradient(Z, model):
         return _latent_state(Z, model)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplerConfig:
-    """Chain settings. ``burn_in`` defaults to 20% of ``n_steps``."""
+    """Chain settings. ``burn_in`` defaults to 20% of ``n_steps``.
+
+    Instances compare and hash by identity.
+    """
 
     step_size: float
     n_steps: int
@@ -236,26 +239,6 @@ class SamplerConfig:
     def n_kept(self):
         return (self.n_steps - self.burn_in + self.thinning - 1) // self.thinning
 
-    def _scalars(self):
-        return (self.step_size, self.n_steps, self.burn_in, self.thinning, self.seed)
-
-    # An array init compares by np.array_equal; the generated methods would
-    # take the truth value of an elementwise comparison, or hash an array.
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        a, b = self.init, other.init
-        if isinstance(a, str) != isinstance(b, str) or self._scalars() != other._scalars():
-            return False
-        return a == b if isinstance(a, str) else np.array_equal(a, b)
-
-    def __hash__(self):
-        init = self.init
-        if not isinstance(init, str):
-            # + 0.0 turns -0.0 into 0.0, which np.array_equal counts as equal
-            init = (init.shape, (init + 0.0).tobytes())
-        return hash((self._scalars(), init))
-
 
 @dataclass(frozen=True, eq=False)
 class SampleChain:
@@ -276,9 +259,9 @@ class SampleChain:
     def n_samples(self):
         return self.abundances.shape[0]
 
-    def latents(self, basis=None):
-        """ilr coordinates of every sample, shape (M, N, P-1)."""
-        return geometry.ilr(np.swapaxes(self.abundances, 1, 2), basis)
+    def latents(self):
+        """ilr coordinates (Helmert basis) of every sample, shape (M, N, P-1)."""
+        return geometry.ilr(np.swapaxes(self.abundances, 1, 2))
 
 
 def _initial_latent(model, cfg, rng):
@@ -379,21 +362,14 @@ def mirror_langevin(model, cfg, inject_noise=True):
     return SampleChain(kept, energy, "mirror-langevin", cfg)
 
 
-def project_simplex(v):
-    """Euclidean projection of a real vector onto the closed unit simplex.
-
-    Exact O(P log P) sort-and-threshold rule: with u the descending sort of
-    v, find the largest j such that u_j + (1 - sum_{i<=j} u_i)/j > 0 and
-    shift-clip by the corresponding multiplier.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a non-finite vector")
-    return _project_columns(v[:, None])[:, 0]
-
-
 def _project_columns(V):
-    """Column-wise simplex projection, vectorized over pixels."""
+    """Euclidean projection of each column of V onto the closed unit simplex.
+
+    Exact O(P log P) sort-and-threshold rule per column: with u the
+    descending sort of v, find the largest j such that
+    u_j + (1 - sum_{i<=j} u_i)/j > 0 and shift-clip by the corresponding
+    multiplier. Vectorized over columns (pixels).
+    """
     P, N = V.shape
     u = -np.sort(-V, axis=0)
     css = np.cumsum(u, axis=0)

@@ -50,16 +50,12 @@ def sigma2_from_snr(clean, snr_db):
     return power / (10.0 ** (snr_db / 10.0))
 
 
-def measure_snr(clean, noisy):
-    """Realized SNR in dB between a clean mixture and its noisy version."""
-    clean = np.asarray(clean, dtype=float)
-    resid = np.asarray(noisy, dtype=float) - clean
-    return 10.0 * np.log10(np.mean(clean**2) / np.mean(resid**2))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthResult:
-    """Output of `synth_generate`: observations, ground truth and noise level."""
+    """Output of `synth_generate`: observations, ground truth and noise level.
+
+    Instances compare and hash by identity.
+    """
 
     X: np.ndarray  # (L, N) noisy observations
     clean: np.ndarray  # (L, N) noiseless mixture

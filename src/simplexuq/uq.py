@@ -27,16 +27,14 @@ from . import geometry
 ESTIMATORS = ("barycentric-histogram", "latent-kde")
 
 
-def _as_samples(samples, min_samples=1, interior=True):
+def _as_samples(samples, interior=True):
     a = np.asarray(samples, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("samples must be (M, P)")
-    if a.shape[0] < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {a.shape[0]}")
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise ValueError("samples must be a nonempty (M, P) array")
     return geometry.check_interior(a, name="samples") if interior else a
 
 
-def _moments(samples, basis=None, geodesic=True):
+def _moments(samples, geodesic=True):
     """Moments over axis 0 of (M, ..., P) compositions.
 
     Returns the Euclidean mean (..., P), the geodesic mean (..., P), the
@@ -50,8 +48,8 @@ def _moments(samples, basis=None, geodesic=True):
     eu_var = samples.var(axis=0, ddof=1).sum(axis=-1) if M > 1 else np.zeros(samples.shape[1:-1])
     if not geodesic:
         return eu_mean, None, eu_var, None, None
-    z = geometry.ilr(samples, basis)
-    geo_mean = geometry.ilr_inv(z.mean(axis=0), basis)
+    z = geometry.ilr(samples)
+    geo_mean = geometry.ilr_inv(z.mean(axis=0))
     ilr_var = z.var(axis=0, ddof=1) if M > 1 else np.zeros(z.shape[1:])
     return eu_mean, geo_mean, eu_var, ilr_var.sum(axis=-1), ilr_var
 
@@ -61,28 +59,10 @@ def euclidean_mean(samples):
     return _moments(_as_samples(samples, interior=False), geodesic=False)[0]
 
 
-def geodesic_mean(samples, basis=None):
+def geodesic_mean(samples):
     """Softmax of the latent average: the minimum squared geodesic
     distance estimator, always strictly interior."""
-    return _moments(_as_samples(samples), basis)[1]
-
-
-def geodesic_total_variance(samples, basis=None):
-    """Mean squared geodesic distance to the geodesic mean, 1/(M-1) norm.
-
-    Equals the trace of the empirical latent covariance.
-    """
-    return float(_moments(_as_samples(samples, min_samples=2), basis)[3])
-
-
-def ilr_componentwise_variances(samples, basis=None):
-    """Diagonal of the latent covariance; sums to the geodesic total variance."""
-    return _moments(_as_samples(samples, min_samples=2), basis)[4]
-
-
-def euclidean_total_variance(samples):
-    """Trace of the P x P empirical covariance of the raw abundances (ddof=1)."""
-    return float(_moments(_as_samples(samples, min_samples=2, interior=False), geodesic=False)[2])
+    return _moments(_as_samples(samples))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +138,6 @@ class BarycentricGrid:
             verts = np.array([[i + 1, j], [i, j + 1], [i + 1, j + 1]], dtype=float) / B
         return np.column_stack([verts, 1.0 - verts.sum(axis=1)])
 
-    def cell_centers(self, cells):
-        """Barycentric centroids of the given cells, shape (len(cells), P)."""
-        return np.array([self.cell_vertices(c).mean(axis=0) for c in np.atleast_1d(cells)])
-
     def counts(self, a):
         cells = self.cell_of(a)
         return np.bincount(cells, minlength=self.n_cells), cells
@@ -202,7 +178,7 @@ class BarycentricGrid:
         return len(roots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HdrResult:
     """Highest-density region estimate at level alpha.
 
@@ -210,7 +186,8 @@ class HdrResult:
     latent evaluation-grid cells for the KDE estimator); ``coverage`` is
     the in-sample fraction with density >= threshold, which is at least
     1 - alpha - 1/M by construction (ties at the threshold are included,
-    erring toward conservative coverage).
+    erring toward conservative coverage). Instances compare and hash by
+    identity.
     """
 
     alpha: float
@@ -218,7 +195,6 @@ class HdrResult:
     density_at_samples: np.ndarray
     threshold: float
     region_cells: np.ndarray
-    region_centers: np.ndarray
     n_components: int
     coverage: float
     grid: object = None
@@ -250,7 +226,6 @@ def _hdr_histogram(samples, alpha, bins):
         density_at_samples=dens,
         threshold=float(threshold),
         region_cells=region,
-        region_centers=grid.cell_centers(region),
         n_components=grid.n_components(active),
         coverage=float(np.mean(dens >= threshold)),
         grid=grid,
@@ -311,7 +286,6 @@ def _hdr_latent_kde(samples, alpha, bandwidth):
         density_at_samples=dens,
         threshold=float(threshold),
         region_cells=region,
-        region_centers=ag[region],
         n_components=int(n_comp),
         coverage=float(np.mean(dens >= threshold)),
         grid=None,
@@ -358,13 +332,13 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageSummary:
     """Stacked per-pixel statistics for a sampled image chain.
 
     Arrays are indexed by pixel in row-major order; ``shape`` is
     (height, width) when known, letting :meth:`as_map` reshape any
-    statistic into an image.
+    statistic into an image. Instances compare and hash by identity.
     """
 
     euclidean_mean: np.ndarray  # (P, N)
@@ -388,7 +362,7 @@ class ImageSummary:
         return np.asarray(values).reshape(self.shape)
 
 
-def summarize_image(chain, shape=None, basis=None):
+def summarize_image(chain, shape=None):
     """Per-pixel UQ summary of a sample chain.
 
     Parameters
@@ -400,7 +374,7 @@ def summarize_image(chain, shape=None, basis=None):
     samples = chain if isinstance(chain, np.ndarray) else chain.abundances
     if samples.ndim != 3 or samples.shape[0] < 1:
         raise ValueError("need a nonempty chain of images (M, P, N)")
-    eu_mean, geo_mean, eu_var, geo_var, ilr_var = _moments(np.swapaxes(samples, 1, 2), basis)
+    eu_mean, geo_mean, eu_var, geo_var, ilr_var = _moments(np.swapaxes(samples, 1, 2))
     return ImageSummary(
         euclidean_mean=eu_mean.T,
         geodesic_mean=geo_mean.T,

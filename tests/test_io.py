@@ -294,8 +294,10 @@ def test_ternary_export_files(tmp_path):
     region = hdr(samples, 0.2, bins=8)
     prefix = str(tmp_path / "tern")
     sio.export_ternary(prefix, samples, geodesic_mean(samples), euclidean_mean(samples), hdr=region)
-    xy = sio.read_float_csv(prefix + "_samples.csv", skip_header=True)
+    assert (tmp_path / "tern_samples.csv").read_text().startswith("x,y\n")
+    xy = np.loadtxt(prefix + "_samples.csv", delimiter=",", skiprows=1)
     assert xy.shape == (500, 2)
+    assert np.array_equal(xy, sio.bary_to_cart(samples))
     svg = (tmp_path / "tern.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     cells = (tmp_path / "tern_hdr_cells.csv").read_text().splitlines()
@@ -307,9 +309,11 @@ def test_ternary_p4_and_limits(tmp_path):
     rng = np.random.default_rng(7)
     samples = rng.dirichlet(np.ones(4), size=50)
     prefix = str(tmp_path / "tetra")
-    sio.export_ternary(prefix, samples, svg=False)
-    xyz = sio.read_float_csv(prefix + "_samples.csv", skip_header=True)
+    sio.export_ternary(prefix, samples)
+    assert (tmp_path / "tetra_samples.csv").read_text().startswith("x,y,z\n")
+    xyz = np.loadtxt(prefix + "_samples.csv", delimiter=",", skiprows=1)
     assert xyz.shape == (50, 3)
+    assert not (tmp_path / "tetra.svg").exists()  # the svg is drawn for P = 3 only
     with pytest.raises(ValueError):
         sio.export_ternary(str(tmp_path / "x"), rng.dirichlet(np.ones(5), size=5))
     with pytest.raises(ValueError):

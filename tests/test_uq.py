@@ -10,11 +10,8 @@ from simplexuq.prior import PriorSpec, pixel_prior_sample
 from simplexuq.uq import (
     BarycentricGrid,
     euclidean_mean,
-    euclidean_total_variance,
     geodesic_mean,
-    geodesic_total_variance,
     hdr,
-    ilr_componentwise_variances,
     map_total_variation,
     summarize_image,
 )
@@ -22,6 +19,15 @@ from simplexuq.uq import (
 
 def dirichlet_samples(seed, n, P, conc=1.0):
     return np.random.default_rng(seed).dirichlet(np.full(P, conc), size=n)
+
+
+def one_pixel_summary(samples):
+    """`summarize_image` of (M, P) samples taken as a one-pixel chain."""
+    return summarize_image(samples[:, :, None])
+
+
+def cell_centroids(grid, cells):
+    return np.array([grid.cell_vertices(c).mean(axis=0) for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +50,7 @@ def test_geodesic_mean_of_symmetric_pair_is_uniform():
 def test_geodesic_mean_matches_grid_search_oracle():
     samples = dirichlet_samples(0, 40, 3, conc=2.0)
     grid = BarycentricGrid(3, 160)
-    centers = grid.cell_centers(np.arange(grid.n_cells))
+    centers = cell_centroids(grid, range(grid.n_cells))
     z_c = geometry.ilr(centers)
     z_s = geometry.ilr(samples)
     cost = ((z_c[:, None, :] - z_s[None, :, :]) ** 2).sum(axis=(1, 2))
@@ -52,7 +58,7 @@ def test_geodesic_mean_matches_grid_search_oracle():
     gm = geodesic_mean(samples)
     # agreement within the grid resolution
     assert geometry.geodesic_distance(gm, best) < geometry.geodesic_distance(
-        best, grid.cell_centers([grid.cell_of(best[None, :])[0]])[0]
+        best, grid.cell_vertices(grid.cell_of(best[None, :])[0]).mean(axis=0)
     ) + 0.1
 
 
@@ -81,10 +87,10 @@ def test_euclidean_mean_basic():
 
 
 def test_variances_of_identical_samples_are_zero():
-    samples = np.tile([0.4, 0.4, 0.2], (8, 1))
-    assert geodesic_total_variance(samples) < 1e-28
-    assert euclidean_total_variance(samples) < 1e-28
-    assert np.max(ilr_componentwise_variances(samples)) < 1e-28
+    s = one_pixel_summary(np.tile([0.4, 0.4, 0.2], (8, 1)))
+    assert s.geodesic_total_variance[0] < 1e-28
+    assert s.euclidean_total_variance[0] < 1e-28
+    assert np.max(s.ilr_variances) < 1e-28
 
 
 def test_geodesic_tv_matches_definition_and_trace():
@@ -92,16 +98,17 @@ def test_geodesic_tv_matches_definition_and_trace():
     z = geometry.ilr(samples)
     zbar = z.mean(axis=0)
     direct = np.sum((z - zbar) ** 2) / (len(z) - 1)
-    tv = geodesic_total_variance(samples)
+    s = one_pixel_summary(samples)
+    tv = s.geodesic_total_variance[0]
     assert abs(tv - direct) < 1e-10
-    assert abs(ilr_componentwise_variances(samples).sum() - tv) < 1e-10
+    assert abs(s.ilr_variances[:, 0].sum() - tv) < 1e-10
 
 
 def test_geodesic_tv_of_prior_samples():
     spec = PriorSpec(P=3, sigma_a2=0.6)
     M = 100_000
     samples = pixel_prior_sample(spec, M, rng=4)
-    tv = geodesic_total_variance(samples)
+    tv = one_pixel_summary(samples).geodesic_total_variance[0]
     # TV estimates (P-1) sigma_a2; chi^2 standard error
     se = (spec.P - 1) * spec.sigma_a2 * np.sqrt(2.0 / (M - 1))
     assert abs(tv - (spec.P - 1) * spec.sigma_a2) < 3.0 * se
@@ -110,7 +117,7 @@ def test_geodesic_tv_of_prior_samples():
 def test_ilr_variances_isotropy():
     spec = PriorSpec(P=4, sigma_a2=1.1)
     samples = pixel_prior_sample(spec, 100_000, rng=5)
-    v = ilr_componentwise_variances(samples)
+    v = one_pixel_summary(samples).ilr_variances[:, 0]
     se = spec.sigma_a2 * np.sqrt(2.0 / 100_000)
     assert np.max(np.abs(v - spec.sigma_a2)) < 4.0 * se
 
@@ -118,39 +125,20 @@ def test_ilr_variances_isotropy():
 def test_geodesic_tv_permutation_invariance():
     samples = dirichlet_samples(6, 300, 4)
     perm = [3, 1, 0, 2]
-    assert abs(geodesic_total_variance(samples) - geodesic_total_variance(samples[:, perm])) < 1e-10
-
-
-def test_geodesic_tv_basis_independence():
-    samples = dirichlet_samples(7, 300, 4)
-    rng = np.random.default_rng(8)
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    other = geometry.helmert_basis(4) @ Q
-    assert abs(
-        geodesic_total_variance(samples) - geodesic_total_variance(samples, basis=other)
-    ) < 1e-10
+    tv = one_pixel_summary(samples).geodesic_total_variance[0]
+    assert abs(tv - one_pixel_summary(samples[:, perm]).geodesic_total_variance[0]) < 1e-10
 
 
 def test_euclidean_tv_two_point_oracle():
     # direct two-point covariance: each of the two varying components has
-    # sample variance 0.5 (ddof=1), the third is constant
-    pair = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert abs(euclidean_total_variance(pair) - 1.0) < 1e-15
+    # sample variance 2 * 0.125^2 = 0.03125 (ddof=1), the third is constant
+    pair = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]])
+    assert abs(one_pixel_summary(pair).euclidean_total_variance[0] - 0.0625) < 1e-15
 
 
 def test_euclidean_tv_bounded_by_simplex_diameter():
     samples = dirichlet_samples(9, 2000, 3, conc=0.2)
-    assert euclidean_total_variance(samples) <= 2.0
-
-
-def test_variance_minimum_sample_count():
-    one = np.array([[0.3, 0.7]])
-    with pytest.raises(ValueError):
-        geodesic_total_variance(one)
-    with pytest.raises(ValueError):
-        euclidean_total_variance(one)
-    with pytest.raises(ValueError):
-        ilr_componentwise_variances(one)
+    assert one_pixel_summary(samples).euclidean_total_variance[0] <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +156,7 @@ def test_grid_tiling_counts():
 def test_grid_cell_centers_round_trip():
     g = BarycentricGrid(3, 12)
     cells = np.arange(g.n_cells)
-    centers = g.cell_centers(cells)
+    centers = cell_centroids(g, cells)
     assert np.allclose(centers.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(g.cell_of(centers), cells)
 
@@ -317,14 +305,15 @@ def test_summarize_shapes_and_pixel_accessor():
     assert s.euclidean_mean.shape == (3, 8)
     assert s.ilr_variances.shape == (2, 8)
     assert s.as_map(s.euclidean_std).shape == (2, 4)
-    # every pixel's statistics equal the per-sample functions on its samples
+    # every pixel's statistics equal the estimators applied to its samples
     for n in range(8):
         px = chain[:, :, n]
+        ilr_var = np.var(geometry.ilr(px), axis=0, ddof=1)
         assert np.max(np.abs(s.euclidean_mean[:, n] - euclidean_mean(px))) < 1e-12
         assert np.max(np.abs(s.geodesic_mean[:, n] - geodesic_mean(px))) < 1e-12
-        assert np.max(np.abs(s.ilr_variances[:, n] - ilr_componentwise_variances(px))) < 1e-12
-        assert abs(s.euclidean_total_variance[n] - euclidean_total_variance(px)) < 1e-12
-        assert abs(s.geodesic_total_variance[n] - geodesic_total_variance(px)) < 1e-12
+        assert np.max(np.abs(s.ilr_variances[:, n] - ilr_var)) < 1e-12
+        assert abs(s.euclidean_total_variance[n] - np.var(px, axis=0, ddof=1).sum()) < 1e-12
+        assert abs(s.geodesic_total_variance[n] - ilr_var.sum()) < 1e-12
 
 
 def test_summarize_requires_nonempty_chain():
