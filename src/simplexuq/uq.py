@@ -240,7 +240,8 @@ _KDE_GRID = {1: 512, 2: 64, 3: 24}
 
 
 def _hdr_latent_kde(samples, alpha, bandwidth):
-    # imported here: scipy.stats dominates the package's import time
+    # imported here: only this estimator needs scipy.stats and scipy.ndimage,
+    # and a run that does not use it should not pay for their import
     from scipy import ndimage
     from scipy.stats import gaussian_kde
 

@@ -22,6 +22,22 @@ def dense_gp_oracle(grid, obs_idx, z_obs, kernel, sigma_a2, nugget):
     return mean, var
 
 
+def three_temporary_interpolate(obs, spec, grid):
+    """Mean and variance with C_oo built as 0.5 * (C + C.T) + nugget * I."""
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+    U = grid[obs.indices]
+    C_oo = spec.sigma_a2 * spec.kernel(U, U)
+    C_oo = 0.5 * (C_oo + C_oo.T) + obs.nugget * np.eye(len(U))
+    C_so = spec.kernel(grid, U)
+    C_so *= spec.sigma_a2
+    F = cho_factor(C_oo, lower=True)
+    mean = spec.latent_mean + C_so @ cho_solve(F, geometry.ilr(obs.values.T, spec.H) - spec.latent_mean)
+    W = solve_triangular(F[0], C_so.T, lower=True)
+    var = np.maximum(spec.sigma_a2 * spec.kernel.sigma_k2 - np.einsum("kn,kn->n", W, W), 0.0)
+    return geometry.ilr_inv(mean, spec.H).T, var
+
+
 def test_noiseless_interpolation_reproduces_observations():
     rng = np.random.default_rng(0)
     grid = square_grid(6, 6)
@@ -138,3 +154,18 @@ def test_nonfinite_grid_coordinate_rejected():
     obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
     with pytest.raises(ValueError):
         interpolate(obs, spec, grid)
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_in_place_observed_covariance_matches_three_temporary_formula(nugget, kind):
+    rng = np.random.default_rng(17)
+    grid = square_grid(12, 10)
+    spec = PriorSpec(P=3, sigma_a2=0.7, kernel=KernelSpec(kind=kind, length_scale=4.0, sigma_k2=1.3),
+                     mean=np.array([0.2, -0.4]))
+    obs_idx = np.sort(rng.choice(len(grid), 15, replace=False))
+    obs = PartialObservation(obs_idx, rng.dirichlet(np.ones(3), size=15).T, nugget)
+    A, var = interpolate(obs, spec, grid)
+    A_ref, var_ref = three_temporary_interpolate(obs, spec, grid)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(var, var_ref)

@@ -178,6 +178,24 @@ def test_gram_dirac_is_identity():
     assert np.array_equal(gram.solve(B), B)
 
 
+def test_dirac_kernel_separates_underflowing_distances():
+    # The Euclidean distance between these points squares to zero; build_gram
+    # already treats them as distinct pixels, and so must the kernel.
+    assert np.array_equal(KernelSpec(kind="dirac")([[0, 0]], [[1e-200, 0]]), [[0.0]])
+    assert np.array_equal(KernelSpec(kind="dirac", sigma_k2=2.0)([[1e-200, 0]], [[1e-200, 0]]), [[2.0]])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (9, 7)])
+def test_dirac_kernel_matches_zero_distance_rule_on_grids(shape):
+    from scipy.spatial.distance import cdist
+
+    grid = square_grid(*shape)
+    other = np.vstack([grid[::2], grid[::3] + 0.5])
+    for U1, U2 in ((grid, grid), (grid, other), (other, grid)):
+        expected = 1.7 * (cdist(U1, U2) == 0.0).astype(float)
+        assert np.array_equal(KernelSpec(kind="dirac", sigma_k2=1.7)(U1, U2), expected)
+
+
 def test_gram_symmetry_and_cholesky():
     grid = square_grid(5, 4)
     gram = build_gram(grid, KernelSpec(length_scale=4.0))

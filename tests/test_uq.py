@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -328,14 +324,3 @@ def test_map_total_variation_hand_value():
     with pytest.raises(ValueError):
         map_total_variation(np.zeros(5))
 
-
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is needed only by the latent-KDE estimator and costs most
-    # of the package's import time, so importing the package must not load it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, simplexuq; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
