@@ -6,6 +6,7 @@ import pytest
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
+    _SYMV_MIN_PIXELS,
     DiagonalGram,
     GramMatrix,
     KernelSpec,
@@ -204,9 +205,26 @@ def test_gram_symmetry_and_cholesky():
 
 
 def test_gram_rejects_duplicate_coordinates():
-    grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        build_gram(grid, KernelSpec())
+    # The verdict of np.unique(grid, axis=0): exact row equality, with 0.0
+    # equal to -0.0 and a one-ulp difference distinct.
+    ulp = np.nextafter(1.0, 2.0)
+    grids = {
+        "repeated row": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+        "repeated after sort": [[2.0, 1.0], [1.0, 2.0], [0.0, 5.0], [2.0, 1.0]],
+        "signed zero": [[0.0, 1.0], [3.0, 1.0], [-0.0, 1.0]],
+        "one ulp in x": [[1.0, 2.0], [ulp, 2.0]],
+        "one ulp in y": [[3.0, 1.0], [3.0, ulp], [1.0, 1.0]],
+        "single pixel": [[0.0, 0.0]],
+    }
+    for name, rows in grids.items():
+        grid = np.array(rows)
+        distinct = len(np.unique(grid, axis=0)) == len(grid)
+        assert distinct == name.startswith(("one ulp", "single")), name
+        if distinct:
+            assert build_gram(grid, KernelSpec(kind="dirac")).n_pixels == len(grid)
+        else:
+            with pytest.raises(ValueError, match="distinct"):
+                build_gram(grid, KernelSpec(kind="dirac"))
 
 
 def test_cholesky_jitter_escalation_and_failure():
@@ -412,6 +430,50 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
     assert gram.chol.flags.f_contiguous
     B = np.random.default_rng(30).standard_normal((64, 2))
     assert np.max(np.abs(gram.solve(B) - np.linalg.solve(gram.matrix, B))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [_SYMV_MIN_PIXELS - 1, _SYMV_MIN_PIXELS])
+def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
+    # Below the crossover the product is the matmul, bit for bit; from it
+    # on, one dsymv per row reads the precision in place, never copying it.
+    from scipy.linalg import blas
+
+    side = int(np.ceil(np.sqrt(n)))
+    gram = build_gram(square_grid(side, side)[:n], KernelSpec(length_scale=3.0))
+    K, P = gram.matrix, gram._precision
+    rng = np.random.default_rng(34)
+    B = rng.standard_normal((n, 2))
+    Zcs = (rng.standard_normal(n), rng.standard_normal((2, n)), B.T)
+    calls = []
+    dsymv = blas.dsymv
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "dsymv", counting)
+    for Zc in Zcs:
+        calls.clear()
+        tracemalloc.start()
+        try:
+            got = gram._rsolve(Zc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == Zc.shape
+        assert np.max(np.abs(got - np.linalg.solve(K, Zc.T).T)) < 1e-10
+        if n < _SYMV_MIN_PIXELS:
+            assert calls == [] and np.array_equal(got, Zc @ P)
+        else:
+            assert calls == [(n,)] * (Zc.size // n)
+            assert peak < 0.05 * K.nbytes
+    assert np.max(np.abs(gram.solve(B) - np.linalg.solve(K, B))) < 1e-10
+    assert np.max(np.abs(gram.solve(B[:, 0]) - np.linalg.solve(K, B[:, 0]))) < 1e-10
+    B[7, 1] = np.nan
+    with pytest.raises(ValueError):
+        gram.solve(B)
+    with pytest.raises(ValueError):
+        gram.solve(np.ones(2 * n))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

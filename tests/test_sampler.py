@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from simplexuq import geometry, sampler as sampler_module
+from simplexuq import geometry, prior as prior_module, sampler as sampler_module
 from simplexuq.errors import DivergenceError
 from simplexuq.interp import PartialObservation
 from simplexuq.prior import (
@@ -580,24 +580,61 @@ def test_block_loop_matches_reference_loop_dirac(sampler, monkeypatch):
         assert np.array_equal(chain.energy_trace, E)
 
 
-@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
-def test_block_loop_matches_reference_loop_exponential_with_mean(sampler, monkeypatch):
-    grid = square_grid(3, 3)
+def exponential_model_with_mean(w, h):
+    grid = square_grid(w, h)
     kernel = KernelSpec(length_scale=2.0)
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=kernel, mean=np.array([0.5, -0.4]))
     S, _ = builtin_endmembers(32, 3)
     res = synth_generate(S, grid, spec, snr_db=15.0, rng=3)
-    model = PosteriorModel(S, Observations(res.X, res.sigma2), spec, build_gram(grid, kernel))
+    return PosteriorModel(S, Observations(res.X, res.sigma2), spec, build_gram(grid, kernel))
+
+
+def check_block_loop_against_reference(sampler, model, reference):
     step = 1e-3 if sampler is mirror_langevin else 5e-5
-    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
     for n_steps, burn_in, thinning, noise in BLOCK_CASES:
         cfg = SamplerConfig(step_size=step, n_steps=n_steps, burn_in=burn_in,
                             thinning=thinning, seed=n_steps + 1)
         chain = sampler(model, cfg, inject_noise=noise)
-        A, E = reference_chain(sampler, model, cfg, inject_noise=noise)
+        A, E = reference(sampler, model, cfg, inject_noise=noise)
         assert chain.abundances.shape == A.shape
         assert np.max(np.abs(chain.abundances - A)) <= 1e-12
         assert np.max(np.abs(chain.energy_trace - E) / np.abs(E)) <= 1e-12
+
+
+@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
+def test_block_loop_matches_reference_loop_exponential_with_mean(sampler, monkeypatch):
+    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
+    check_block_loop_against_reference(sampler, exponential_model_with_mean(3, 3), reference_chain)
+
+
+def matmul_reference_chain(*args, **kwargs):
+    """`reference_chain` with the prior's precision product done by matmul
+    whatever the pixel count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prior_module, "_SYMV_MIN_PIXELS", np.inf)
+        return reference_chain(*args, **kwargs)
+
+
+def model_above_symv_crossover():
+    # Every other chain test runs below the crossover; on this scene the
+    # chain multiplies by the precision with dsymv.
+    side = int(np.ceil(np.sqrt(prior_module._SYMV_MIN_PIXELS)))
+    return exponential_model_with_mean(side, side)
+
+
+@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
+def test_block_loop_matches_matmul_reference_above_symv_crossover(sampler):
+    check_block_loop_against_reference(sampler, model_above_symv_crossover(), matmul_reference_chain)
+
+
+def test_block_loop_diverges_at_the_matmul_reference_step_above_symv_crossover():
+    model = model_above_symv_crossover()
+    cfg = SamplerConfig(step_size=100.0, n_steps=500, burn_in=100, seed=5)
+    with pytest.raises(DivergenceError) as want:
+        matmul_reference_chain(mirror_langevin, model, cfg)
+    with pytest.raises(DivergenceError) as got:
+        mirror_langevin(model, cfg)
+    assert got.value.step == want.value.step
 
 
 def test_block_loop_matches_reference_loop_default_blocks():
