@@ -24,10 +24,12 @@ KERNEL_KINDS = ("exponential", "dirac")
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
-# Pixel count from which GramMatrix multiplies by its precision with one
-# symmetric dsymv per row instead of a matmul (see the GramMatrix docstring).
-# Measured on a 2-core Xeon, 2 MiB L2 per core, OpenBLAS, one BLAS thread.
+# GramMatrix multiplies by its precision with one symmetric dsymv per row,
+# instead of a matmul, from this many pixels on and for at most this many
+# rows (see the GramMatrix docstring). Measured on a 2-core Xeon, 2 MiB L2
+# per core, OpenBLAS, one BLAS thread.
 _SYMV_MIN_PIXELS = 480
+_SYMV_MAX_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,9 @@ class GramMatrix:
     by BLAS ``dsymv``, which reads one triangle: half the traffic, and half
     the time at N = 1024. Below that the matrix stays in cache, and one
     ``matmul`` beats a ``dsymv`` call per row, with its call overhead and
-    slower kernel.
+    slower kernel. So does a ``matmul`` over more than ``_SYMV_MAX_ROWS``
+    rows (P > 4, or a solve with many columns), which reads the matrix once
+    for all of them where ``dsymv`` reads half of it per row.
 
     This is the operator of the exponential kernel. The dirac kernel's Gram
     matrix is diagonal and is held by :class:`DiagonalGram`, which stores
@@ -149,7 +153,7 @@ class GramMatrix:
 
     def _rsolve(self, Zc):
         """Zc K_U^{-1} over the last axis of Zc."""
-        if Zc.shape[-1] < _SYMV_MIN_PIXELS:
+        if Zc.shape[-1] < _SYMV_MIN_PIXELS or Zc.size > _SYMV_MAX_ROWS * Zc.shape[-1]:
             return Zc @ self._precision
         from scipy.linalg.blas import dsymv
 

@@ -6,6 +6,7 @@ import pytest
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
+    _SYMV_MAX_ROWS,
     _SYMV_MIN_PIXELS,
     DiagonalGram,
     GramMatrix,
@@ -434,8 +435,9 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
 
 @pytest.mark.parametrize("n", [_SYMV_MIN_PIXELS - 1, _SYMV_MIN_PIXELS])
 def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
-    # Below the crossover the product is the matmul, bit for bit; from it
-    # on, one dsymv per row reads the precision in place, never copying it.
+    # Below the crossover, and for more than _SYMV_MAX_ROWS rows, the
+    # product is the matmul, bit for bit; otherwise one dsymv per row reads
+    # the precision in place, never copying it.
     from scipy.linalg import blas
 
     side = int(np.ceil(np.sqrt(n)))
@@ -443,7 +445,13 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
     K, P = gram.matrix, gram._precision
     rng = np.random.default_rng(34)
     B = rng.standard_normal((n, 2))
-    Zcs = (rng.standard_normal(n), rng.standard_normal((2, n)), B.T)
+    Zcs = (
+        rng.standard_normal(n),
+        rng.standard_normal((2, n)),
+        B.T,
+        rng.standard_normal((_SYMV_MAX_ROWS, n)),
+        rng.standard_normal((2, 2, n)),
+    )
     calls = []
     dsymv = blas.dsymv
 
@@ -461,8 +469,9 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
         finally:
             tracemalloc.stop()
         assert got.shape == Zc.shape
-        assert np.max(np.abs(got - np.linalg.solve(K, Zc.T).T)) < 1e-10
-        if n < _SYMV_MIN_PIXELS:
+        want = np.linalg.solve(K, Zc.reshape(-1, n).T).T.reshape(Zc.shape)
+        assert np.max(np.abs(got - want)) < 1e-10
+        if n < _SYMV_MIN_PIXELS or Zc.size > _SYMV_MAX_ROWS * n:
             assert calls == [] and np.array_equal(got, Zc @ P)
         else:
             assert calls == [(n,)] * (Zc.size // n)
