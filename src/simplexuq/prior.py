@@ -25,11 +25,10 @@ _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
 # GramMatrix multiplies by its precision with one symmetric dsymv per row,
-# instead of a matmul, from this many pixels on and for at most this many
-# rows (see the GramMatrix docstring). Measured on a 2-core Xeon, 2 MiB L2
-# per core, OpenBLAS, one BLAS thread.
+# instead of a matmul, from this many pixels on (see the GramMatrix
+# docstring). Measured on a 2-core Xeon, 2 MiB L2 per core, OpenBLAS, one
+# BLAS thread; not checked with multi-threaded BLAS or other cache sizes.
 _SYMV_MIN_PIXELS = 480
-_SYMV_MAX_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,7 @@ class GramMatrix:
     by BLAS ``dsymv``, which reads one triangle: half the traffic, and half
     the time at N = 1024. Below that the matrix stays in cache, and one
     ``matmul`` beats a ``dsymv`` call per row, with its call overhead and
-    slower kernel. So does a ``matmul`` over more than ``_SYMV_MAX_ROWS``
-    rows (P > 4, or a solve with many columns), which reads the matrix once
-    for all of them where ``dsymv`` reads half of it per row.
+    slower kernel.
 
     This is the operator of the exponential kernel. The dirac kernel's Gram
     matrix is diagonal and is held by :class:`DiagonalGram`, which stores
@@ -153,21 +150,21 @@ class GramMatrix:
 
     def _rsolve(self, Zc):
         """Zc K_U^{-1} over the last axis of Zc."""
-        if Zc.shape[-1] < _SYMV_MIN_PIXELS or Zc.size > _SYMV_MAX_ROWS * Zc.shape[-1]:
+        n = Zc.shape[-1]
+        if n < _SYMV_MIN_PIXELS:
             return Zc @ self._precision
         from scipy.linalg.blas import dsymv
 
-        n = self.n_pixels
-        if Zc.shape[-1] != n:
-            raise ValueError(f"right-hand side of shape {Zc.shape} for {n} pixels")
+        # dsymv would read only the first n entries of a longer row.
+        if n != self.n_pixels:
+            raise ValueError(f"right-hand side of shape {Zc.shape} for {self.n_pixels} pixels")
         # dpotri's own F-ordered array, whose lower triangle dsymv reads
-        # without a copy.
+        # without a copy; each call writes its row of out in place.
         inv = self._precision.T
-        rows = Zc.reshape(-1, n)
-        out = np.empty(rows.shape)
-        for z, y in zip(rows, out):
-            y[...] = dsymv(1.0, inv, z, lower=1)
-        return out.reshape(Zc.shape)
+        out = np.zeros(Zc.shape)
+        for z, y in zip(Zc.reshape(-1, n), out.reshape(-1, n)):
+            dsymv(1.0, inv, z, y=y, overwrite_y=1, lower=1)
+        return out
 
     def solve(self, B):
         """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""

@@ -6,7 +6,6 @@ import pytest
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
-    _SYMV_MAX_ROWS,
     _SYMV_MIN_PIXELS,
     DiagonalGram,
     GramMatrix,
@@ -435,9 +434,8 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
 
 @pytest.mark.parametrize("n", [_SYMV_MIN_PIXELS - 1, _SYMV_MIN_PIXELS])
 def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
-    # Below the crossover, and for more than _SYMV_MAX_ROWS rows, the
-    # product is the matmul, bit for bit; otherwise one dsymv per row reads
-    # the precision in place, never copying it.
+    # Below the crossover the product is the matmul, bit for bit; from it on,
+    # one dsymv per row reads the precision in place, never copying it.
     from scipy.linalg import blas
 
     side = int(np.ceil(np.sqrt(n)))
@@ -449,7 +447,6 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
         rng.standard_normal(n),
         rng.standard_normal((2, n)),
         B.T,
-        rng.standard_normal((_SYMV_MAX_ROWS, n)),
         rng.standard_normal((2, 2, n)),
     )
     calls = []
@@ -471,7 +468,7 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
         assert got.shape == Zc.shape
         want = np.linalg.solve(K, Zc.reshape(-1, n).T).T.reshape(Zc.shape)
         assert np.max(np.abs(got - want)) < 1e-10
-        if n < _SYMV_MIN_PIXELS or Zc.size > _SYMV_MAX_ROWS * n:
+        if n < _SYMV_MIN_PIXELS:
             assert calls == [] and np.array_equal(got, Zc @ P)
         else:
             assert calls == [(n,)] * (Zc.size // n)
