@@ -155,7 +155,7 @@ class GramMatrix:
             return Zc @ self._precision
         from scipy.linalg.blas import dsymv
 
-        # dsymv would read only the first n entries of a longer row.
+        # dsymv would silently use only the first n_pixels entries of a longer row.
         if n != self.n_pixels:
             raise ValueError(f"right-hand side of shape {Zc.shape} for {self.n_pixels} pixels")
         # dpotri's own F-ordered array, whose lower triangle dsymv reads
