@@ -353,3 +353,58 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     sio.write_float_csv(tmp_path / "clean.csv", np.ones((2, 2)))
     leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every writer's output pinned across versions
+# ---------------------------------------------------------------------------
+
+# sha256 of each file written by _write_golden_files; a change here is a
+# change of file format and breaks byte-reproducibility across versions
+GOLDEN_SHA256 = {
+    "const.pgm": "b8ee682da345c486baedd81c54c74f41e99f6c03bef9b8f07e80122450c7f7e8",
+    "const_scale.json": "f1abce175785d05d865115c58efe71f80ebbdac404513ddf04cd8cc27a3fc374",
+    "endmembers.csv": "ae57ad46979694508376935d59d217a584d87af8879c7b392ff0600fc035cb9d",
+    "f32.cube": "da948e8bcefa3a3ba5c92bb889406ec1d923802fe8fb2b3cf926001cd1d963e4",
+    "f64.cube": "48825f88f326b1e9cbcd1e3024034957922bab846294f86204cd3c421aeac540",
+    "floats.csv": "5ad152075c013a5f72548b87bfa2791479a8a740ba92285056b0aa5ae0a43d69",
+    "map.pgm": "d07ab84475dd1640f16efa5485f48139d49c3c236d3b444aabc0f51baa9f25a7",
+    "map_scale.json": "843fcb3a748f93b37ae0f4fdbe40f3ddb7c81c5fb280304ee0d66fe6c83821bf",
+    "multi.stack": "d1531d8b256a3399e3def2153b98ff7b53cbb5a865f4e5ebd3159ab953686533",
+    "one.stack": "698045d396e1915f6219e422768ccc723d293f824512654dca704c75bbc35673",
+    "tern.svg": "88d74c2f705a23f3747bb2fa7fc5fe58a82d820b7e4e847e2e4c22073f499f01",
+    "tern_hdr_cells.csv": "61102c9fc10959a63102a7279fab3dfc727a951cd1711e2d3c654e850fd2af26",
+    "tern_means.csv": "27ff4dc4c34996133fbb67cf9905a8e1db62aad42e75f4722995306be34680f5",
+    "tern_samples.csv": "d377116a5fd8d3967de4879a1dd5704104215f99caf2c409d55a133aed53236b",
+}
+
+
+def _write_golden_files(d):
+    from types import SimpleNamespace
+
+    from simplexuq.uq import BarycentricGrid
+
+    X = np.array([[0.1, 1.0 / 3.0, -2.5e-7], [7.0, 1e30, 0.0], [2.0 / 3.0, -0.5, 12345.678]])
+    X = np.column_stack([X, X[:, ::-1]])  # (3, 6)
+    sio.write_cube(d / "f32.cube", X[:, :6], width=3, height=2, dtype="float32")
+    sio.write_cube(d / "f64.cube", X[:, :6], width=2, height=3, dtype="float64")
+    A = np.array([[0.2, 0.7, 1.0 / 3.0, 0.05], [0.3, 0.1, 1.0 / 3.0, 0.9], [0.5, 0.2, 1.0 / 3.0, 0.05]])
+    sio.write_abundance_stack(d / "one.stack", A, width=2, height=2)
+    sio.write_abundance_stack(d / "multi.stack", np.stack([A, A[::-1], A[[1, 2, 0]]]), 4, 1)
+    sio.write_endmembers(d / "endmembers.csv", X[:, :3], ["soil", "tree", "water"])
+    sio.write_float_csv(d / "floats.csv", X, header=["a", "b", "c", "d", "e", "f"])
+    sio.write_pgm16(d / "map.pgm", np.array([[0.0, 0.1, 1.0 / 3.0], [2.5, 4.0, -1.0]]), d / "map_scale.json")
+    sio.write_pgm16(d / "const.pgm", np.full((2, 2), 7.5), d / "const_scale.json")
+    samples = np.array([[0.2, 0.3, 0.5], [0.7, 0.1, 0.2], [1.0 / 3.0] * 3, [0.05, 0.9, 0.05], [0.6, 0.3, 0.1]])
+    region = SimpleNamespace(grid=BarycentricGrid(3, 4), region_cells=np.array([0, 5, 12]))
+    sio.export_ternary(
+        str(d / "tern"), samples, np.array([0.3, 0.3, 0.4]), np.array([1.0 / 3.0, 0.3, 1.0 - 0.3 - 1.0 / 3.0]), hdr=region
+    )
+
+
+def test_writers_golden_bytes(tmp_path):
+    import hashlib
+
+    _write_golden_files(tmp_path)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+    assert got == GOLDEN_SHA256
