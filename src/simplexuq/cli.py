@@ -193,10 +193,7 @@ def cmd_uq(args):
     sio.write_abundance_stack(os.path.join(out, "geodesic_mean.stack"), summary.geodesic_mean, w, h)
     sio.write_abundance_stack(os.path.join(out, "euclidean_mean.stack"), summary.euclidean_mean, w, h)
     for stat in ("geodesic_std", "euclidean_std"):
-        m = summary.as_map(getattr(summary, stat))
-        base = os.path.join(out, stat)
-        sio.write_pgm16(base + ".pgm", m, base + "_scale.json")
-        sio.write_float_csv(base + ".csv", m)
+        sio.write_map(os.path.join(out, stat), summary.as_map(getattr(summary, stat)))
     sio.write_float_csv(
         os.path.join(out, "ilr_variances.csv"), summary.ilr_variances.T, header=None
     )

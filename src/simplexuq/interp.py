@@ -81,12 +81,11 @@ def interpolate(obs, spec, grid):
 
     U_obs = grid[obs.indices]
     # latent covariance = sigma_a2 * spatial kernel (kernel carries sigma_k2),
-    # symmetrised and given its nugget in place: no K x K identity or sums
+    # given its nugget in place: no K x K identity or sums. The kernel of a
+    # coordinate set with itself is exactly symmetric already.
     K = len(U_obs)
     C_oo = spec.kernel(U_obs, U_obs)
     C_oo *= spec.sigma_a2
-    C_oo += C_oo.T
-    C_oo *= 0.5
     C_oo.reshape(-1)[:: K + 1] += obs.nugget
     C_so = spec.kernel(grid, U_obs)
     C_so *= spec.sigma_a2

@@ -11,6 +11,7 @@ with a warning.
 import csv
 import io as _stdio
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -59,51 +60,56 @@ def _read_header(fh):
 
 
 # ---------------------------------------------------------------------------
-# observation cubes
+# binary containers: observation cubes and abundance stacks
 # ---------------------------------------------------------------------------
+
+
+def _write_container(path, arr, width, height, dtype, count_keys):
+    """Write an array whose last axis is the pixel axis; its leading axes
+    are recorded in the header under ``count_keys``."""
+    arr = np.asarray(arr)
+    if dtype not in _DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
+    *counts, N = arr.shape
+    if N != width * height:
+        raise ValueError(f"{N} pixels but width*height = {width * height}")
+    header = {"band_order": "band-major", "dtype": dtype, "height": height, "width": width}
+    header.update(zip(count_keys, counts, strict=True))
+    payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes()
+    _atomic_write_bytes(path, _header_bytes(header) + payload)
+
+
+def _read_container(path, count_keys):
+    """Read a container written by `_write_container`; returns (float64
+    array of shape (*counts, width*height), header)."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        payload = fh.read()
+    for key in ("band_order", "dtype", "height", "width", *count_keys):
+        if key not in header:
+            raise ValueError(f"header missing key {key!r}")
+    for key in (*count_keys, "width", "height"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValueError(f"header key {key!r} must be a positive integer, got {header[key]!r}")
+    if header["dtype"] not in _DTYPES:
+        raise ValueError(f"unsupported dtype {header['dtype']!r}")
+    dt = np.dtype(_DTYPES[header["dtype"]])
+    shape = (*(header[key] for key in count_keys), header["width"] * header["height"])
+    expected = math.prod(shape) * dt.itemsize
+    if len(payload) != expected:
+        raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
+    return np.frombuffer(payload, dtype=dt).reshape(shape).astype(float), header
 
 
 def write_cube(path, X, width, height, dtype="float32"):
     """Write an (L, N) spectral cube; pixels are row-major, bands major order."""
-    X = np.asarray(X)
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-    L, N = X.shape
-    if N != width * height:
-        raise ValueError(f"{N} pixels but width*height = {width * height}")
-    header = {
-        "band_order": "band-major",
-        "dtype": dtype,
-        "height": height,
-        "n_bands": L,
-        "width": width,
-    }
-    payload = np.ascontiguousarray(X, dtype=_DTYPES[dtype]).tobytes()
-    _atomic_write_bytes(path, _header_bytes(header) + payload)
+    _write_container(path, X, width, height, dtype, ("n_bands",))
 
 
 def read_cube(path):
     """Read a spectral cube; returns (X float64 (L, N), header dict)."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        payload = fh.read()
-    for key in ("band_order", "dtype", "height", "n_bands", "width"):
-        if key not in header:
-            raise ValueError(f"cube header missing key {key!r}")
-    if header["dtype"] not in _DTYPES:
-        raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    L, w, h = header["n_bands"], header["width"], header["height"]
-    dt = np.dtype(_DTYPES[header["dtype"]])
-    expected = L * w * h * dt.itemsize
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    X = np.frombuffer(payload, dtype=dt).reshape(L, w * h).astype(float)
-    return X, header
+    return _read_container(path, ("n_bands",))
 
-
-# ---------------------------------------------------------------------------
-# abundance stacks
-# ---------------------------------------------------------------------------
 
 SUM_TOL_READ = 1e-6
 
@@ -113,21 +119,7 @@ def write_abundance_stack(path, stack, width, height, dtype="float64"):
     stack = np.asarray(stack)
     if stack.ndim == 2:
         stack = stack[None]
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-    M, P, N = stack.shape
-    if N != width * height:
-        raise ValueError(f"{N} pixels but width*height = {width * height}")
-    header = {
-        "band_order": "band-major",
-        "dtype": dtype,
-        "height": height,
-        "n_frames": M,
-        "n_parts": P,
-        "width": width,
-    }
-    payload = np.ascontiguousarray(stack, dtype=_DTYPES[dtype]).tobytes()
-    _atomic_write_bytes(path, _header_bytes(header) + payload)
+    _write_container(path, stack, width, height, dtype, ("n_frames", "n_parts"))
 
 
 def read_abundance_stack(path):
@@ -136,20 +128,7 @@ def read_abundance_stack(path):
     Pixel vectors must sum to 1 within 1e-6; anything worse is renormalized
     with a warning.
     """
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        payload = fh.read()
-    for key in ("band_order", "dtype", "height", "n_frames", "n_parts", "width"):
-        if key not in header:
-            raise ValueError(f"stack header missing key {key!r}")
-    if header["dtype"] not in _DTYPES:
-        raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    M, P, w, h = header["n_frames"], header["n_parts"], header["width"], header["height"]
-    dt = np.dtype(_DTYPES[header["dtype"]])
-    expected = M * P * w * h * dt.itemsize
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    stack = np.frombuffer(payload, dtype=dt).reshape(M, P, w * h).astype(float)
+    stack, header = _read_container(path, ("n_frames", "n_parts"))
     sums = stack.sum(axis=1)
     worst = np.max(np.abs(sums - 1.0))
     if worst > SUM_TOL_READ:
@@ -164,6 +143,19 @@ def read_abundance_stack(path):
 # ---------------------------------------------------------------------------
 # CSV formats: endmembers, masks, maps, vectors
 # ---------------------------------------------------------------------------
+
+
+def _write_csv(path, header, rows, labels=None):
+    """CSV with an optional header row. Each row is its entry of ``labels``
+    (leading cells, if given) followed by its values written to 17
+    significant digits, which round-trips float64 exactly."""
+    buf = _stdio.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        wr.writerow(header)
+    for lead, row in zip(labels or [()] * len(rows), rows):
+        wr.writerow([*lead, *(format(v, ".17g") for v in row)])
+    _atomic_write_text(path, buf.getvalue())
 
 
 def load_endmembers(path):
@@ -197,12 +189,7 @@ def write_endmembers(path, S, names=None):
     S = np.asarray(S)
     if names is None:
         names = [f"material_{k + 1}" for k in range(S.shape[1])]
-    buf = _stdio.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(names)
-    for row in S:
-        wr.writerow([format(v, ".17g") for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    _write_csv(path, names, S)
 
 
 def load_mask(path):
@@ -231,14 +218,7 @@ def write_mask(path, indices):
 
 def write_float_csv(path, arr, header=None):
     """Lossless float64 CSV (17 significant digits round-trips exactly)."""
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    buf = _stdio.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        wr.writerow(header)
-    for row in arr:
-        wr.writerow([format(v, ".17g") for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    _write_csv(path, header, np.atleast_2d(np.asarray(arr, dtype=float)))
 
 
 def read_float_csv(path):
@@ -420,6 +400,13 @@ def write_pgm16(path, img, sidecar_path=None):
         )
 
 
+def write_map(base, img):
+    """Write a 2-D map three ways: ``<base>.pgm`` (see `write_pgm16`), its
+    scale sidecar ``<base>_scale.json`` and the lossless ``<base>.csv``."""
+    write_pgm16(f"{base}.pgm", img, f"{base}_scale.json")
+    write_float_csv(f"{base}.csv", img)
+
+
 # ---------------------------------------------------------------------------
 # ternary / barycentric exports
 # ---------------------------------------------------------------------------
@@ -477,24 +464,17 @@ def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr
         mean_rows.append(bary_to_cart(euclidean_mean, P)[0])
         mean_names.append("euclidean")
     if mean_rows:
-        buf = _stdio.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["estimator"] + cols)
-        for name, row in zip(mean_names, mean_rows):
-            wr.writerow([name] + [format(v, ".17g") for v in row])
-        _atomic_write_text(f"{prefix}_means.csv", buf.getvalue())
+        _write_csv(f"{prefix}_means.csv", ["estimator"] + cols, mean_rows, [[n] for n in mean_names])
 
     hdr_polys = []
     if hdr is not None and hdr.grid is not None:
-        buf = _stdio.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["cell", "vertex"] + cols)
-        for cell in hdr.region_cells:
-            verts = bary_to_cart(hdr.grid.cell_vertices(cell), P)
-            hdr_polys.append(verts)
-            for vi, v in enumerate(verts):
-                wr.writerow([int(cell), vi] + [format(c, ".17g") for c in v])
-        _atomic_write_text(f"{prefix}_hdr_cells.csv", buf.getvalue())
+        hdr_polys = [bary_to_cart(hdr.grid.cell_vertices(cell), P) for cell in hdr.region_cells]
+        _write_csv(
+            f"{prefix}_hdr_cells.csv",
+            ["cell", "vertex"] + cols,
+            [v for poly in hdr_polys for v in poly],
+            [(int(cell), vi) for cell, poly in zip(hdr.region_cells, hdr_polys) for vi in range(len(poly))],
+        )
 
     if P == 3:
         _write_ternary_svg(f"{prefix}.svg", xy, mean_rows, mean_names, hdr_polys)
@@ -522,7 +502,8 @@ def _write_ternary_svg(path, xy, mean_rows, mean_names, hdr_polys):
         )
     step = max(1, len(xy) // 4000)  # cap marker count, deterministically
     for v in xy[::step]:
-        out.append(f'<circle cx="{_svg_pt(v).split(",")[0]}" cy="{_svg_pt(v).split(",")[1]}" r="1.2" fill="#3465a4" fill-opacity="0.35"/>')
+        cx, cy = _svg_pt(v).split(",")
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="1.2" fill="#3465a4" fill-opacity="0.35"/>')
     colors = {"geodesic": "#f5c211", "euclidean": "#813d9c"}
     for name, row in zip(mean_names, mean_rows):
         cx, cy = _svg_pt(row).split(",")

@@ -282,9 +282,7 @@ def build_gram(grid, kernel):
     if kernel.kind == "dirac":
         d = np.full(len(grid), kernel.sigma_k2)
         return DiagonalGram(d, np.sqrt(d))
-    K = kernel(grid, grid)
-    K = K + K.T
-    K *= 0.5
+    K = kernel(grid, grid)  # exactly symmetric: cdist squares exact negations
     L, jit = _cholesky_with_jitter(K, kernel.sigma_k2, kernel.jitter)
     del K  # before GramMatrix makes its column-major copy of the factor
     return GramMatrix(L, jit)

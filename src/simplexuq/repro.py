@@ -155,15 +155,11 @@ def samson_synthetic(output_dir, seed=SAMSON_SEED):
     spatial_summary = results["spatial"]["summary"]
     for k in range(3):
         m = spatial_summary.as_map(spatial_summary.geodesic_mean[k])
-        base = os.path.join(output_dir, f"geodesic_mean_{names[k]}")
-        sio.write_pgm16(base + ".pgm", m, base + "_scale.json")
-        sio.write_float_csv(base + ".csv", m)
+        sio.write_map(os.path.join(output_dir, f"geodesic_mean_{names[k]}"), m)
     tv = {}
     for name, res in results.items():
         for stat, m in res["maps"].items():
-            base = os.path.join(output_dir, f"{stat}_{name}")
-            sio.write_pgm16(base + ".pgm", m, base + "_scale.json")
-            sio.write_float_csv(base + ".csv", m)
+            sio.write_map(os.path.join(output_dir, f"{stat}_{name}"), m)
             tv[f"{stat}_{name}"] = map_total_variation(m)
 
     stats = {}

@@ -149,6 +149,23 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
     assert "seed" in payload["message"]
 
 
+def test_malformed_stack_header_is_validation_error(tmp_path, capsys):
+    stack = tmp_path / "chain.stack"
+    header = {"band_order": "band-major", "dtype": "float64", "height": 1, "n_frames": 0.5, "n_parts": 2, "width": 1}
+    # 0.5 frames of 2 float64 parts is 8 bytes: the size check alone passes it
+    stack.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"\0" * 8)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, paths={"stack": str(stack), "output_dir": str(tmp_path / "out")})
+    code = main(["--error-json", "uq", "--config", str(cfg_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("error: header key 'n_frames'")
+    payload = json.loads(lines[-1])
+    assert payload["error"] == "ValueError"
+    assert payload["exit_code"] == 1
+    assert "n_frames" in payload["message"]
+
+
 def test_missing_file_is_validation_error(tmp_path):
     assert main(["transform", "--op", "clr", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(tmp_path / "out.csv")]) == 1

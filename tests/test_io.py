@@ -99,6 +99,43 @@ def test_stack_single_frame_convenience(tmp_path):
     assert np.array_equal(back[0], A)
 
 
+def _write_header(path, header, payload_bytes):
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"\0" * payload_bytes)
+
+
+_VALID_HEADERS = {
+    "cube": (sio.read_cube, {"band_order": "band-major", "dtype": "float32", "height": 2, "n_bands": 2, "width": 2}),
+    "stack": (
+        sio.read_abundance_stack,
+        {"band_order": "band-major", "dtype": "float64", "height": 1, "n_frames": 1, "n_parts": 2, "width": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("cube", k) for k in ("n_bands", "width", "height")] + [("stack", k) for k in ("n_frames", "n_parts", "width", "height")],
+)
+@pytest.mark.parametrize("value", [0.5, 2.0, True, 0, -1, "2", None, [2]])
+def test_container_rejects_malformed_counts(tmp_path, kind, key, value):
+    read, header = _VALID_HEADERS[kind]
+    p = tmp_path / f"bad.{kind}"
+    _write_header(p, {**header, key: value}, 16)  # the valid header's payload size
+    with pytest.raises(ValueError, match=f"header key '{key}' must be a positive integer"):
+        read(p)
+
+
+def test_container_missing_key_and_wrong_rank(tmp_path):
+    p = tmp_path / "bad.stack"
+    _write_header(p, {"band_order": "band-major", "dtype": "float64", "height": 1, "n_parts": 2, "width": 1}, 16)
+    with pytest.raises(ValueError, match="header missing key 'n_frames'"):
+        sio.read_abundance_stack(p)
+    with pytest.raises(ValueError):
+        sio.write_cube(tmp_path / "x.cube", np.zeros((2, 2, 4)), width=2, height=2)
+    with pytest.raises(ValueError):
+        sio.write_abundance_stack(tmp_path / "x.stack", np.zeros(4), width=2, height=2)
+
+
 # ---------------------------------------------------------------------------
 # CSV formats
 # ---------------------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_dirac_kernel_matches_zero_distance_rule_on_grids(shape):
         assert np.array_equal(KernelSpec(kind="dirac", sigma_k2=1.7)(U1, U2), expected)
 
 
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+@pytest.mark.parametrize("length_scale, sigma_k2", [(10.0, 1.0), (2.0, 0.8), (0.37, 1.0)])
+def test_kernel_of_a_coordinate_set_is_exactly_symmetric(kind, length_scale, sigma_k2):
+    # build_gram and interpolate factor kernel(U, U) as it comes, without
+    # averaging it with its transpose, so the symmetry must be exact
+    rng = np.random.default_rng(11)
+    U = np.vstack([rng.uniform(-30.0, 30.0, size=(300, 2)), square_grid(9, 7) * 0.1 + 1.0 / 3.0])
+    K = KernelSpec(kind=kind, length_scale=length_scale, sigma_k2=sigma_k2)(U, U)
+    assert np.array_equal(K, K.T)
+
+
 def test_gram_symmetry_and_cholesky():
     grid = square_grid(5, 4)
     gram = build_gram(grid, KernelSpec(length_scale=4.0))
