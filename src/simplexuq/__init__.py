@@ -8,7 +8,6 @@ interpolation), `sampler` (mirror Langevin and projected ULA), `uq`
 """
 
 from .geometry import (
-    EPS_SIMPLEX,
     alr,
     closure,
     clr,
@@ -53,7 +52,6 @@ from .uq import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPS_SIMPLEX",
     "GramMatrix",
     "HdrResult",
     "ImageSummary",

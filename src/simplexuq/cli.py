@@ -123,6 +123,10 @@ def cmd_interpolate(args):
         raise ConfigError("interpolate needs paths.stack and paths.mask")
     stack, _ = sio.read_abundance_stack(paths["stack"])
     idx = sio.load_mask(paths["mask"])
+    n_pixels = stack.shape[2]
+    past = idx[idx >= n_pixels]
+    if past.size:
+        raise ValueError(f"mask index {past[0]} is past the stack's {n_pixels} pixels")
     values = geometry.closure(stack[0][:, idx].T).T
     nugget = cfg.get("interp", {}).get("nugget", 0.0)
     obs = PartialObservation(idx, values, nugget=nugget)

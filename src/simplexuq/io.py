@@ -3,9 +3,10 @@
 Binary containers have a single-line JSON header (sorted keys, UTF-8,
 newline-terminated) followed by a raw little-endian payload; writes are
 atomic (temp file + rename) and byte-reproducible, so identical runs
-produce identical files. Abundance stacks are validated on read: pixel
-vectors must sum to 1 within 1e-6, beyond which they are renormalized
-with a warning.
+produce identical files. A container whose payload holds NaN or infinity
+is rejected on read, and every JSON written is strict (no NaN or
+infinity). Abundance stacks are validated on read: pixel vectors must sum
+to 1 within 1e-6, beyond which they are renormalized with a warning.
 """
 
 import csv
@@ -43,7 +44,7 @@ def _atomic_write_text(path, text):
 
 
 def _header_bytes(header):
-    return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
 
 
 def _read_header(fh):
@@ -98,7 +99,10 @@ def _read_container(path, count_keys):
     expected = math.prod(shape) * dt.itemsize
     if len(payload) != expected:
         raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dt).reshape(shape).astype(float), header
+    arr = np.frombuffer(payload, dtype=dt).reshape(shape).astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("payload holds non-finite values (NaN or infinity)")
+    return arr, header
 
 
 def write_cube(path, X, width, height, dtype="float32"):
@@ -326,10 +330,16 @@ def validate_config(doc):
     return cfg
 
 
+def _reject_json_constant(name):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_run_config(path):
+    """Load and validate a run configuration. Strict JSON: NaN and Infinity
+    are rejected, as every JSON this package writes must be finite."""
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_json_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(doc)
@@ -366,8 +376,9 @@ def config_to_sampler_config(cfg):
 
 
 def write_json_sidecar(path, payload):
-    """Deterministic JSON sidecar (sorted keys, no timestamps)."""
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Deterministic JSON sidecar (sorted keys, no timestamps). Strict JSON:
+    a NaN or infinity in ``payload`` raises ValueError."""
+    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +390,14 @@ def write_pgm16(path, img, sidecar_path=None):
     """16-bit grayscale PGM, min-max scaled; the scale goes in a JSON sidecar.
 
     A constant map is written as zeros and the sidecar records the
-    degenerate scale.
+    degenerate scale. A map holding NaN or infinity has no scale and raises
+    ValueError before any file is written.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError("expected a 2-D map")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("map holds non-finite values (NaN or infinity)")
     vmin, vmax = float(img.min()), float(img.max())
     if vmax > vmin:
         scaled = np.round((img - vmin) / (vmax - vmin) * 65535.0).astype(">u2")

@@ -166,6 +166,38 @@ def test_malformed_stack_header_is_validation_error(tmp_path, capsys):
     assert "n_frames" in payload["message"]
 
 
+def test_interpolate_mask_past_stack_is_validation_error(tmp_path, capsys):
+    sio.write_abundance_stack(tmp_path / "observed.stack", np.full((3, 9), 1.0 / 3.0), width=3, height=3)
+    sio.write_mask(tmp_path / "mask.csv", [0, 4, 99])
+    cfg_path = tmp_path / "run.json"
+    write_config(
+        cfg_path,
+        paths={"stack": str(tmp_path / "observed.stack"), "mask": str(tmp_path / "mask.csv"),
+               "output_dir": str(tmp_path / "out")},
+    )
+    code = main(["--error-json", "interpolate", "--config", str(cfg_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0] == "error: mask index 99 is past the stack's 9 pixels"
+    payload = json.loads(lines[-1])
+    assert payload == {"error": "ValueError", "message": lines[0][len("error: "):], "exit_code": 1}
+
+
+def test_uq_on_nan_stack_is_validation_error(tmp_path, capsys):
+    chain = np.full((4, 3, 2), 1.0 / 3.0)
+    chain[2, 1, 0] = np.nan
+    sio.write_abundance_stack(tmp_path / "chain.stack", chain, width=2, height=1)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, paths={"stack": str(tmp_path / "chain.stack"), "output_dir": str(tmp_path / "out")})
+    code = main(["--error-json", "uq", "--config", str(cfg_path)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert payload["exit_code"] == 1
+    assert "non-finite" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_validation_error(tmp_path):
     assert main(["transform", "--op", "clr", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(tmp_path / "out.csv")]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,15 +18,28 @@ def dense_gp_oracle(grid, obs_idx, z_obs, kernel, sigma_a2, nugget):
     U = grid[obs_idx]
     C_oo = sigma_a2 * kernel(U, U) + nugget * np.eye(len(obs_idx))
     C_so = sigma_a2 * kernel(grid, U)
-    Cinv = np.linalg.inv(C_oo)
-    mean = C_so @ Cinv @ z_obs
-    var = sigma_a2 * kernel.sigma_k2 - np.einsum("ij,jk,ik->i", C_so, Cinv, C_so)
+    mean = C_so @ np.linalg.solve(C_oo, z_obs)
+    var = sigma_a2 * kernel.sigma_k2 - np.einsum("nk,kn->n", C_so, np.linalg.solve(C_oo, C_so.T))
     return mean, var
+
+
+def solve_triangular_variance(obs, spec, grid):
+    """Latent predictive variance by the textbook triangular solve
+    (Rasmussen & Williams 2006, Algorithm 2.1): c_ss - ||L^{-1} c_n||^2."""
+    from scipy.linalg import solve_triangular
+
+    U = grid[obs.indices]
+    C_oo = spec.sigma_a2 * spec.kernel(U, U) + obs.nugget * np.eye(len(U))
+    C_so = spec.sigma_a2 * spec.kernel(grid, U)
+    W = solve_triangular(np.linalg.cholesky(C_oo), C_so.T, lower=True)
+    return np.maximum(spec.sigma_a2 * spec.kernel.sigma_k2 - np.einsum("kn,kn->n", W, W), 0.0)
 
 
 def three_temporary_interpolate(obs, spec, grid):
     """Mean and variance with C_oo built as 0.5 * (C + C.T) + nugget * I."""
-    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dtrtri
 
     U = grid[obs.indices]
     C_oo = spec.sigma_a2 * spec.kernel(U, U)
@@ -33,7 +48,7 @@ def three_temporary_interpolate(obs, spec, grid):
     C_so *= spec.sigma_a2
     F = cho_factor(C_oo, lower=True)
     mean = spec.latent_mean + C_so @ cho_solve(F, geometry.ilr(obs.values.T, spec.H) - spec.latent_mean)
-    W = solve_triangular(F[0], C_so.T, lower=True)
+    W = dtrmm(1.0, dtrtri(F[0], lower=1)[0], C_so.T, lower=1)
     var = np.maximum(spec.sigma_a2 * spec.kernel.sigma_k2 - np.einsum("kn,kn->n", W, W), 0.0)
     return geometry.ilr_inv(mean, spec.H).T, var
 
@@ -169,3 +184,45 @@ def test_in_place_observed_covariance_matches_three_temporary_formula(nugget, ki
     A_ref, var_ref = three_temporary_interpolate(obs, spec, grid)
     assert np.array_equal(A, A_ref)
     assert np.array_equal(var, var_ref)
+
+
+@pytest.mark.parametrize(
+    "width, length_scale, nugget, step",
+    [
+        (30, 6.0, 0.0, None),  # 300 observed pixels, cond(C_oo) about 5e2
+        (30, 6.0, 0.05, None),
+        (40, 1000.0, 0.0, 3),  # every third of 1600 pixels, cond(C_oo) about 7e5
+    ],
+)
+def test_variance_matches_triangular_solve_and_dense_oracle(width, length_scale, nugget, step):
+    rng = np.random.default_rng(11)
+    grid = square_grid(width, width)
+    N = len(grid)
+    obs_idx = np.arange(0, N, step) if step else np.sort(rng.choice(N, 300, replace=False))
+    spec = PriorSpec(P=3, sigma_a2=0.8, kernel=KernelSpec(length_scale=length_scale, sigma_k2=1.2))
+    obs = PartialObservation(obs_idx, rng.dirichlet(np.ones(3), size=len(obs_idx)).T, nugget)
+    _, var = interpolate(obs, spec, grid)
+    _, var_oracle = dense_gp_oracle(
+        grid, obs_idx, geometry.ilr(obs.values.T), spec.kernel, spec.sigma_a2, nugget
+    )
+    assert np.max(np.abs(var - solve_triangular_variance(obs, spec, grid))) < 1e-13
+    assert np.max(np.abs(var - var_oracle)) < 1e-13
+
+
+def test_interpolation_peak_memory_is_the_cross_covariance():
+    # Everything else interpolate holds is K x K or smaller. An N x K copy,
+    # such as f2py makes silently of an argument in the wrong memory order,
+    # would double the peak.
+    rng = np.random.default_rng(2)
+    grid = square_grid(64, 48)
+    N, K = len(grid), 300
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=10.0))
+    obs = PartialObservation(np.sort(rng.choice(N, K, replace=False)), rng.dirichlet(np.ones(3), size=K).T)
+    interpolate(obs, spec, grid)  # imports and lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        interpolate(obs, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * N * K * 8

@@ -136,6 +136,24 @@ def test_container_missing_key_and_wrong_rank(tmp_path):
         sio.write_abundance_stack(tmp_path / "x.stack", np.zeros(4), width=2, height=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["cube", "stack"])
+def test_container_rejects_non_finite_payload(tmp_path, kind, bad):
+    p = tmp_path / f"bad.{kind}"
+    if kind == "cube":
+        X = np.ones((2, 4))
+        X[1, 2] = bad
+        sio.write_cube(p, X, width=2, height=2)
+        read = sio.read_cube
+    else:
+        A = np.full((2, 3, 4), 1.0 / 3.0)
+        A[1, 0, 3] = bad
+        sio.write_abundance_stack(p, A, width=4, height=1)
+        read = sio.read_abundance_stack
+    with pytest.raises(ValueError, match="non-finite"):
+        read(p)
+
+
 # ---------------------------------------------------------------------------
 # CSV formats
 # ---------------------------------------------------------------------------
@@ -262,6 +280,17 @@ def test_config_bad_json(tmp_path):
         sio.load_run_config(p)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_config_rejects_non_finite_constants(tmp_path, constant):
+    p = tmp_path / "run.json"
+    p.write_text(
+        '{"n_parts": 3, "prior": {"sigma_a2": 1.0, "kernel": {"kind": "dirac"}}, '
+        f'"noise": {{"sigma2": {constant}}}, "sampler": {{"step_size": 1e-3, "n_steps": 2, "seed": 0}}}}'
+    )
+    with pytest.raises(ConfigError, match=f"{constant} is not a JSON number"):
+        sio.load_run_config(p)
+
+
 def test_prior_spec_config_round_trip():
     from simplexuq.prior import KernelSpec
 
@@ -308,6 +337,23 @@ def test_pgm_constant_map_degenerate(tmp_path):
     assert meta["degenerate"] is True
     vals = np.frombuffer(p.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
     assert np.all(vals == 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pgm_non_finite_map_writes_nothing(tmp_path, bad):
+    img = np.array([[0.0, 1.0], [bad, 4.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sio.write_pgm16(tmp_path / "map.pgm", img, tmp_path / "map_scale.json")
+    with pytest.raises(ValueError, match="non-finite"):
+        sio.write_map(tmp_path / "m", img)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_sidecar_is_strict(tmp_path):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sio.write_json_sidecar(tmp_path / "meta.json", {"vmin": bad})
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
