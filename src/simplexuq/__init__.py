@@ -11,7 +11,6 @@ from .geometry import (
     alr,
     closure,
     clr,
-    entropy,
     geodesic_distance,
     geodesic_path,
     helmert_basis,
@@ -67,7 +66,6 @@ __all__ = [
     "build_gram",
     "closure",
     "clr",
-    "entropy",
     "euclidean_mean",
     "geodesic_distance",
     "geodesic_mean",

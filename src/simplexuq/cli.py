@@ -121,15 +121,18 @@ def cmd_interpolate(args):
     paths = cfg.get("paths", {})
     if "stack" not in paths or "mask" not in paths:
         raise ConfigError("interpolate needs paths.stack and paths.mask")
-    stack, _ = sio.read_abundance_stack(paths["stack"])
+    stack, header = sio.read_abundance_stack(paths["stack"])
+    if (header["width"], header["height"]) != (w, h):
+        raise ValueError(
+            f"stack is {header['width']}x{header['height']} pixels but grid is {w}x{h}"
+        )
     idx = sio.load_mask(paths["mask"])
     n_pixels = stack.shape[2]
     past = idx[idx >= n_pixels]
     if past.size:
         raise ValueError(f"mask index {past[0]} is past the stack's {n_pixels} pixels")
     values = geometry.closure(stack[0][:, idx].T).T
-    nugget = cfg.get("interp", {}).get("nugget", 0.0)
-    obs = PartialObservation(idx, values, nugget=nugget)
+    obs = PartialObservation(idx, values, **cfg.get("interp", {}))
     A, var = interpolate(obs, spec, grid)
     out = _outdir(args, cfg)
     sio.write_abundance_stack(os.path.join(out, "interpolated.stack"), A, w, h)
@@ -210,13 +213,8 @@ def cmd_uq(args):
     if stack.shape[2] == 1:  # single pixel: HDR and ternary exports
         samples = stack[:, :, 0]
         alpha = uq_cfg.get("alpha", 0.1)
-        region = hdr(
-            samples,
-            alpha,
-            estimator=uq_cfg.get("estimator"),
-            bins=uq_cfg.get("bins", 64),
-            bandwidth=uq_cfg.get("bandwidth"),
-        )
+        options = {k: uq_cfg[k] for k in ("estimator", "bins", "bandwidth") if k in uq_cfg}
+        region = hdr(samples, alpha, **options)
         if samples.shape[1] in (3, 4):
             sio.export_ternary(
                 os.path.join(out, "pixel"),

@@ -29,20 +29,18 @@ from .errors import InvalidDimensionError, SimplexBoundaryError
 EPS_SIMPLEX = 1e-12
 
 
-def closure(a, eps=EPS_SIMPLEX):
+def closure(a):
     """Clamp raw data into the interior of the simplex and renormalize.
 
-    Components are clipped to ``[eps, 1]`` and each vector rescaled to unit
-    sum. This is the canonical constructor for compositions coming from
-    files or from algorithms (e.g. simplex projections) that may emit exact
-    zeros.
+    Components are clipped to ``[EPS_SIMPLEX, 1]`` and each vector rescaled
+    to unit sum. This is the canonical constructor for compositions coming
+    from files or from algorithms (e.g. simplex projections) that may emit
+    exact zeros.
 
     Parameters
     ----------
     a : array_like, shape (..., P)
         Nonnegative data; the last axis is the part axis.
-    eps : float
-        Lower clamping bound. Must be positive.
 
     Returns
     -------
@@ -52,9 +50,7 @@ def closure(a, eps=EPS_SIMPLEX):
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("compositions must be finite")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    out = np.clip(a, eps, 1.0)
+    out = np.clip(a, EPS_SIMPLEX, 1.0)
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -162,33 +158,24 @@ _SOFTMAX_FLOOR = 1e-300
 
 
 def interior_softmax(w):
-    """Softmax floored at 1e-300 so the result is strictly interior."""
-    a = softmax(w)
-    if np.any(a < _SOFTMAX_FLOOR):
-        a = np.maximum(a, _SOFTMAX_FLOOR)
-        a = a / a.sum(axis=-1, keepdims=True)
-    return a
+    """Softmax with each component floored at 1e-300, so the result is
+    strictly interior.
 
-
-def _interior_softmax_each(w):
-    """:func:`interior_softmax` of each ``w[i]`` of a stack, in one pass.
-
-    The floor rule acts per stacked array: only an array with a component
-    below the floor is floored and renormalised, as a whole.
+    The floor acts per component and nothing is renormalised: adding 1e-300
+    cannot change a sum near 1, so the result still sums to 1 within 1e-12,
+    and each vector of a stack comes out as it would alone.
     """
     a = softmax(w)
-    lowest = np.minimum.reduce(a, axis=tuple(range(1, a.ndim)))
-    for i in np.flatnonzero(lowest < _SOFTMAX_FLOOR):
-        a[i] = interior_softmax(w[i])
-    return a
+    return np.maximum(a, _SOFTMAX_FLOOR, out=a)
 
 
 def ilr_inv(z, basis=None):
     """Inverse ilr transform, ``softmax(H z)``.
 
     Stable for arbitrarily large coordinates thanks to max-subtraction. The
-    result is strictly interior (components that underflow in the softmax
-    are floored at 1e-300) and sums to 1 within 1e-12.
+    result is strictly interior (each component that underflows in the
+    softmax is floored at 1e-300 on its own, with no renormalisation) and
+    sums to 1 within 1e-12.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):

@@ -4,9 +4,10 @@ Binary containers have a single-line JSON header (sorted keys, UTF-8,
 newline-terminated) followed by a raw little-endian payload; writes are
 atomic (temp file + rename) and byte-reproducible, so identical runs
 produce identical files. A container whose payload holds NaN or infinity
-is rejected on read, and every JSON written is strict (no NaN or
-infinity). Abundance stacks are validated on read: pixel vectors must sum
-to 1 within 1e-6, beyond which they are renormalized with a warning.
+(after the cast to its dtype) is rejected on write and on read, and every
+JSON written is strict (no NaN or infinity). Abundance stacks are
+validated on read: pixel vectors must sum to 1 within 1e-6, beyond which
+they are renormalized with a warning.
 """
 
 import csv
@@ -76,8 +77,13 @@ def _write_container(path, arr, width, height, dtype, count_keys):
         raise ValueError(f"{N} pixels but width*height = {width * height}")
     header = {"band_order": "band-major", "dtype": dtype, "height": height, "width": width}
     header.update(zip(count_keys, counts, strict=True))
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes()
-    _atomic_write_bytes(path, _header_bytes(header) + payload)
+    # A value beyond the dtype's range casts to infinity; the check below
+    # reports it, so numpy's overflow warning is redundant.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"payload holds non-finite values (NaN or infinity) as {dtype}")
+    _atomic_write_bytes(path, _header_bytes(header) + payload.tobytes())
 
 
 def _read_container(path, count_keys):
@@ -346,33 +352,23 @@ def load_run_config(path):
 
 
 def config_to_prior_spec(cfg):
-    """Build a PriorSpec from a validated config document."""
+    """Build a PriorSpec from a validated config document. Keys the config
+    omits take the defaults of `KernelSpec`."""
     from .prior import KernelSpec, PriorSpec
 
     prior = cfg["prior"]
-    kern = prior["kernel"]
-    kernel = KernelSpec(
-        kind=kern["kind"],
-        length_scale=kern.get("length_scale", 1.0),
-        sigma_k2=kern.get("sigma_k2", 1.0),
-        jitter=kern.get("jitter", 0.0),
-    )
+    kernel = KernelSpec(**prior["kernel"])
     mean = np.array(prior["mean"], dtype=float) if prior.get("mean") is not None else None
     return PriorSpec(P=cfg["n_parts"], sigma_a2=prior["sigma_a2"], kernel=kernel, mean=mean)
 
 
 def config_to_sampler_config(cfg):
+    """Build a SamplerConfig from a validated config document. Keys the
+    config omits take the defaults of `SamplerConfig`; ``algorithm`` picks
+    the sampler and is read by the caller."""
     from .sampler import SamplerConfig
 
-    s = cfg["sampler"]
-    return SamplerConfig(
-        step_size=s["step_size"],
-        n_steps=s["n_steps"],
-        burn_in=s.get("burn_in"),
-        thinning=s.get("thinning", 1),
-        init=s.get("init", "prior-draw"),
-        seed=s["seed"],
-    )
+    return SamplerConfig(**{k: v for k, v in cfg["sampler"].items() if k != "algorithm"})
 
 
 def write_json_sidecar(path, payload):

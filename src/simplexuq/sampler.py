@@ -354,7 +354,7 @@ def mirror_langevin(model, cfg, inject_noise=True):
     H = model._H
 
     def images(Zs):  # (M, P-1, N) -> (M, P, N), softmax over the parts
-        return np.swapaxes(geometry._interior_softmax_each(np.swapaxes(H @ Zs, 1, 2)), 1, 2)
+        return np.swapaxes(geometry.interior_softmax(np.swapaxes(H @ Zs, 1, 2)), 1, 2)
 
     kept, energy = _langevin(
         lambda Z: _latent_state(Z, model), Z, cfg, rng, inject_noise, images

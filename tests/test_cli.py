@@ -183,10 +183,32 @@ def test_interpolate_mask_past_stack_is_validation_error(tmp_path, capsys):
     assert payload == {"error": "ValueError", "message": lines[0][len("error: "):], "exit_code": 1}
 
 
+def test_interpolate_stack_off_the_grid_is_validation_error(tmp_path, capsys):
+    # A 4x4 stack under a 3x3 grid: stack pixel 5 is (1, 1), grid pixel 5
+    # is (2, 1), so its observations would land in the wrong place.
+    sio.write_abundance_stack(tmp_path / "observed.stack", np.full((3, 16), 1.0 / 3.0), width=4, height=4)
+    sio.write_mask(tmp_path / "mask.csv", [0, 5, 8])
+    cfg_path = tmp_path / "run.json"
+    write_config(
+        cfg_path,
+        paths={"stack": str(tmp_path / "observed.stack"), "mask": str(tmp_path / "mask.csv"),
+               "output_dir": str(tmp_path / "out")},
+    )
+    code = main(["--error-json", "interpolate", "--config", str(cfg_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0] == "error: stack is 4x4 pixels but grid is 3x3"
+    payload = json.loads(lines[-1])
+    assert payload == {"error": "ValueError", "message": lines[0][len("error: "):], "exit_code": 1}
+    assert not (tmp_path / "out").exists()
+
+
 def test_uq_on_nan_stack_is_validation_error(tmp_path, capsys):
     chain = np.full((4, 3, 2), 1.0 / 3.0)
     chain[2, 1, 0] = np.nan
-    sio.write_abundance_stack(tmp_path / "chain.stack", chain, width=2, height=1)
+    # written byte by byte: the stack writer itself refuses a NaN payload
+    header = {"band_order": "band-major", "dtype": "float64", "height": 1, "n_frames": 4, "n_parts": 3, "width": 2}
+    (tmp_path / "chain.stack").write_bytes(sio._header_bytes(header) + chain.astype("<f8").tobytes())
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, paths={"stack": str(tmp_path / "chain.stack"), "output_dir": str(tmp_path / "out")})
     code = main(["--error-json", "uq", "--config", str(cfg_path)])

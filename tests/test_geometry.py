@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from simplexuq.errors import InvalidDimensionError, SimplexBoundaryError
 from simplexuq.geometry import (
-    _interior_softmax_each,
     alr,
     closure,
     clr,
@@ -309,8 +308,33 @@ def test_interior_softmax_each_floors_per_stacked_image(P):
     W = np.swapaxes(rng.standard_normal((4, P, 5)), 1, 2)
     W[1, 2, 0] = 800.0
     W[3, 0, -1] = -900.0
-    got = _interior_softmax_each(W)
+    got = interior_softmax(W)
     for i in range(4):
         assert np.array_equal(got[i], interior_softmax(W[i]))
     floored = got.min(axis=(1, 2)) < 1e-299
     assert list(floored) == [False, True, False, True]
+
+
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda P: st.lists(
+            st.tuples(
+                st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=P, max_size=P),
+                st.sampled_from([0.0, 800.0, -800.0]),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+)
+def test_interior_softmax_is_batch_invariant(rows):
+    # Each row's image must not depend on what is stacked with it. A shift
+    # of +-800 on a row's first entry puts some of its components (or all
+    # but one) below the 1e-300 floor.
+    W = np.array([[w[0] + shift, *w[1:]] for w, shift in rows])
+    got = interior_softmax(W)
+    for i in range(len(W)):
+        assert np.array_equal(got[i], interior_softmax(W[i]))
+        assert np.array_equal(got[i], interior_softmax(W[i : i + 1])[0])
+    assert np.all(got > 0.0)
+    assert np.max(np.abs(got.sum(axis=-1) - 1.0)) < 1e-12

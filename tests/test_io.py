@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ def test_container_missing_key_and_wrong_rank(tmp_path):
         sio.write_abundance_stack(tmp_path / "x.stack", np.zeros(4), width=2, height=2)
 
 
+def _write_raw_container(path, arr, width, height, dtype, count_keys):
+    """The file `_write_container` writes, without its finiteness check, so
+    that a reader can be handed a non-finite payload."""
+    header = {"band_order": "band-major", "dtype": dtype, "height": height, "width": width}
+    header.update(zip(count_keys, arr.shape[:-1]))
+    payload = np.ascontiguousarray(arr, dtype=sio._DTYPES[dtype]).tobytes()
+    path.write_bytes(sio._header_bytes(header) + payload)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["cube", "stack"])
 def test_container_rejects_non_finite_payload(tmp_path, kind, bad):
@@ -143,15 +153,38 @@ def test_container_rejects_non_finite_payload(tmp_path, kind, bad):
     if kind == "cube":
         X = np.ones((2, 4))
         X[1, 2] = bad
-        sio.write_cube(p, X, width=2, height=2)
+        _write_raw_container(p, X, 2, 2, "float32", ("n_bands",))
         read = sio.read_cube
     else:
         A = np.full((2, 3, 4), 1.0 / 3.0)
         A[1, 0, 3] = bad
-        sio.write_abundance_stack(p, A, width=4, height=1)
+        _write_raw_container(p, A, 4, 1, "float64", ("n_frames", "n_parts"))
         read = sio.read_abundance_stack
     with pytest.raises(ValueError, match="non-finite"):
         read(p)
+
+
+@pytest.mark.parametrize(
+    "kind, dtype, bad",
+    [("cube", "float32", v) for v in (np.nan, np.inf, -np.inf, 1e39, -1e39)]
+    + [("stack", "float64", v) for v in (np.nan, np.inf)]
+    + [("stack", "float32", 1e39)],
+)
+def test_container_writer_rejects_non_finite_payload(tmp_path, kind, dtype, bad):
+    # 1e39 is finite as a float64 but casts to infinity as a float32: the
+    # writer checks what it would store, and writes no file.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"non-finite values .* as {dtype}"):
+            if kind == "cube":
+                X = np.ones((2, 4))
+                X[1, 2] = bad
+                sio.write_cube(tmp_path / "x.cube", X, width=2, height=2, dtype=dtype)
+            else:
+                A = np.full((2, 3, 4), 1.0 / 3.0)
+                A[1, 0, 3] = bad
+                sio.write_abundance_stack(tmp_path / "x.stack", A, width=4, height=1, dtype=dtype)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +341,21 @@ def test_prior_spec_config_round_trip():
     assert spec.sigma_a2 == 0.7
     assert spec.kernel == KernelSpec(kind="exponential", length_scale=5.0, sigma_k2=1.2)
     assert np.array_equal(spec.mean, [0.1, -0.2, 0.3])
+
+
+def test_config_schema_keys_are_the_dataclass_fields():
+    # The config layer restates no default: it passes the keys a config
+    # holds, so every optional key must name a field that has its default.
+    from dataclasses import fields
+
+    from simplexuq.interp import PartialObservation
+    from simplexuq.prior import KernelSpec
+    from simplexuq.sampler import SamplerConfig
+
+    schema = sio._CONFIG_SCHEMA
+    assert set(schema["prior"]["kernel"]) == {f.name for f in fields(KernelSpec)}
+    assert set(schema["sampler"]) - {"algorithm"} == {f.name for f in fields(SamplerConfig)}
+    assert set(schema["interp"]) <= {f.name for f in fields(PartialObservation)}
 
 
 # ---------------------------------------------------------------------------

@@ -651,8 +651,8 @@ def test_block_loop_matches_reference_loop_default_blocks():
 def test_block_loop_keeps_the_per_image_softmax_floor():
     # Gradient descent on the prior from a huge latent state: the first kept
     # images have a softmax component below the 1e-300 floor, which floors
-    # and renormalises that whole image; the later ones in the same block
-    # do not, and must come out as their plain softmax.
+    # that component; the later ones in the same block do not, and must
+    # come out as their plain softmax.
     grid = square_grid(2, 2)
     kernel = KernelSpec(kind="dirac")
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=kernel)
