@@ -84,14 +84,12 @@ def cmd_synth(args):
     spec = sio.config_to_prior_spec(cfg)
     noise = cfg.get("noise", {})
     seed = cfg["sampler"]["seed"]
-    if "snr_db" in noise:
-        result = synth_generate(S, grid, spec, snr_db=noise["snr_db"], rng=seed)
-    else:
-        result = synth_generate(S, grid, spec, snr_db=None, rng=seed)
-        if noise.get("sigma2", 0.0) > 0:
-            rng = np.random.default_rng(seed + 1)
-            X = result.clean + np.sqrt(noise["sigma2"]) * rng.standard_normal(result.clean.shape)
-            result = SynthResult(X, result.clean, result.A, result.S, noise["sigma2"], None)
+    # validate_config admits at most one of noise.snr_db and noise.sigma2.
+    result = synth_generate(S, grid, spec, snr_db=noise.get("snr_db"), rng=seed)
+    if noise.get("sigma2", 0.0) > 0:
+        rng = np.random.default_rng(seed + 1)
+        X = result.clean + np.sqrt(noise["sigma2"]) * rng.standard_normal(result.clean.shape)
+        result = SynthResult(X, result.clean, result.A, result.S, noise["sigma2"], None)
     out = _outdir(args, cfg)
     sio.write_cube(os.path.join(out, "observations.cube"), result.X, w, h)
     sio.write_abundance_stack(os.path.join(out, "ground_truth.stack"), result.A, w, h)

@@ -53,8 +53,8 @@ class PartialObservation:
         geometry.check_interior(vals, name="observed abundances")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
-        if self.nugget < 0:
-            raise ValueError("nugget must be nonnegative")
+        if not 0 <= self.nugget < np.inf:
+            raise ValueError("nugget must be nonnegative and finite")
 
 
 def interpolate(obs, spec, grid):

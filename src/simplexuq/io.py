@@ -340,12 +340,21 @@ def _reject_json_constant(name):
     raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
 
 
+def _parse_finite_float(text):
+    # json hands a number such as 1e400 to parse_float, not parse_constant.
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config number {text} overflows to infinity")
+    return x
+
+
 def load_run_config(path):
     """Load and validate a run configuration. Strict JSON: NaN and Infinity
-    are rejected, as every JSON this package writes must be finite."""
+    are rejected, and so are numbers that overflow to infinity, as every
+    JSON this package writes must be finite."""
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_json_constant)
+            doc = json.load(fh, parse_constant=_reject_json_constant, parse_float=_parse_finite_float)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(doc)

@@ -49,12 +49,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if not self.length_scale > 0:
-            raise ValueError("length_scale must be positive")
-        if not self.sigma_k2 > 0:
-            raise ValueError("sigma_k2 must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+        # Chained comparisons reject NaN as well as infinity.
+        if not 0 < self.length_scale < np.inf:
+            raise ValueError("length_scale must be positive and finite")
+        if not 0 < self.sigma_k2 < np.inf:
+            raise ValueError("sigma_k2 must be positive and finite")
+        if not 0 <= self.jitter < np.inf:
+            raise ValueError("jitter must be nonnegative and finite")
 
     def __call__(self, U1, U2):
         """Cross-covariance matrix between two coordinate sets (n1, 2), (n2, 2)."""
@@ -81,22 +82,29 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Positive-definite spatial Gram matrix K_U, held as its Cholesky factor
-    and its precision K_U^{-1}.
+    """Positive-definite spatial Gram matrix K_U, held as its Cholesky factor.
 
-    ``chol`` (lower, column-major) serves prior draws, initial states and
-    ``log_det``. The precision serves every solve: a Langevin step
-    multiplies by it instead of running two triangular solves. It is
+    ``chol`` is one of two kinds of factor:
+
+    - for a dense kernel (exponential), the lower factor, an (N, N) array
+      stored column-major;
+    - for a diagonal kernel (dirac), the (N,) vector of square roots of the
+      diagonal, so memory and the time of each solve are O(N).
+
+    ``chol`` serves prior draws, initial states and ``log_det``. A diagonal
+    solve divides the right-hand side by ``chol`` twice, so a unit diagonal
+    returns it unchanged. A dense solve multiplies by the precision
+    K_U^{-1} instead of running two triangular solves. The precision is
     formed from ``chol`` by LAPACK ``dpotri`` on the first solve, so an
     operator used only for prior draws never pays for it, and is then kept
     full, symmetric, C-ordered and read-only. ``matrix``, the Gram matrix
     itself (with the kernel amplitude sigma_k2 on its diagonal), is not
     stored: each access recomputes it as ``chol @ chol.T``, so memory stays
-    at two N x N arrays. ``applied_jitter`` records the diagonal boost that
-    made the Cholesky succeed (0.0 when none was needed). Instances are
-    immutable and safe to share across threads (two threads that solve
-    first may both form the same precision); they compare and hash by
-    identity.
+    at two N x N arrays, or as the (N,) diagonal ``chol * chol``.
+    ``applied_jitter`` records the diagonal boost that made the Cholesky
+    succeed (0.0 when none was needed). Instances are immutable and safe to
+    share across threads (two threads that solve first may both form the
+    same precision); they compare and hash by identity.
 
     A product with the precision reads the whole matrix for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -105,10 +113,6 @@ class GramMatrix:
     the time at N = 1024. Below that the matrix stays in cache, and one
     ``matmul`` beats a ``dsymv`` call per row, with its call overhead and
     slower kernel.
-
-    This is the operator of the exponential kernel. The dirac kernel's Gram
-    matrix is diagonal and is held by :class:`DiagonalGram`, which stores
-    only the diagonal: O(N) memory and O(N) time per solve.
     """
 
     chol: np.ndarray
@@ -116,19 +120,20 @@ class GramMatrix:
 
     def __post_init__(self):
         chol = np.asfortranarray(self.chol, dtype=float)
-        if chol.ndim != 2 or chol.shape[0] != chol.shape[1] or not np.all(np.isfinite(chol)):
-            raise ValueError("Cholesky factor must be a finite square matrix")
-        if not np.all(np.diag(chol) != 0.0):
+        if chol.ndim not in (1, 2) or chol.shape != (len(chol),) * chol.ndim or not np.all(np.isfinite(chol)):
+            raise ValueError("Cholesky factor must be a finite square matrix or vector")
+        if not np.all((chol if chol.ndim == 1 else np.diag(chol)) != 0.0):
             raise ValueError("Cholesky factor must have a nonzero diagonal")
         object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
-        # Load LAPACK here, in set-up, so that the first solve, inside a
-        # timed chain, does not pay for the import.
-        import scipy.linalg  # noqa: F401
+        if chol.ndim == 2:
+            # Load LAPACK here, in set-up, so that the first solve, inside a
+            # timed chain, does not pay for the import.
+            import scipy.linalg  # noqa: F401
 
     @cached_property
     def _precision(self):
-        """K_U^{-1}, full, symmetric and C-ordered."""
+        """Dense K_U^{-1}, full, symmetric and C-ordered."""
         from scipy.linalg import lapack
 
         inv = lapack.dpotri(self.chol, lower=1)[0]
@@ -141,7 +146,10 @@ class GramMatrix:
 
     @property
     def matrix(self):
-        """K_U, recomputed from the factor on each access."""
+        """K_U, recomputed from the factor on each access; the (N,) diagonal
+        for a diagonal factor."""
+        if self.chol.ndim == 1:
+            return self.chol * self.chol
         return self.chol @ self.chol.T
 
     @property
@@ -150,14 +158,19 @@ class GramMatrix:
 
     def _rsolve(self, Zc):
         """Zc K_U^{-1} over the last axis of Zc."""
+        chol = self.chol
         n = Zc.shape[-1]
+        # A row of the wrong length would broadcast against a diagonal factor,
+        # and dsymv would silently use only the first n_pixels entries of a
+        # longer row.
+        if n != len(chol):
+            raise ValueError(f"right-hand side of shape {Zc.shape} for {len(chol)} pixels")
+        if chol.ndim == 1:
+            return Zc / chol / chol
         if n < _SYMV_MIN_PIXELS:
             return Zc @ self._precision
         from scipy.linalg.blas import dsymv
 
-        # dsymv would silently use only the first n_pixels entries of a longer row.
-        if n != self.n_pixels:
-            raise ValueError(f"right-hand side of shape {Zc.shape} for {self.n_pixels} pixels")
         # dpotri's own F-ordered array, whose lower triangle dsymv reads
         # without a copy; each call writes its row of out in place.
         inv = self._precision.T
@@ -172,55 +185,14 @@ class GramMatrix:
 
     @property
     def log_det(self):
-        return 2.0 * np.sum(np.log(np.diag(self.chol)))
+        diag = self.chol if self.chol.ndim == 1 else np.diag(self.chol)
+        return 2.0 * np.sum(np.log(diag))
 
     def sqrt_matvec(self, E):
         """E L^T over the last axis of E: maps white noise to covariance K_U."""
+        if self.chol.ndim == 1:
+            return E * self.chol
         return E @ self.chol.T
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalGram:
-    """Diagonal Gram matrix of the dirac kernel, stored as its diagonal.
-
-    ``matrix`` holds diag(K_U) = sigma_k2 per pixel and ``chol`` its square
-    root, both of shape (N,), so memory and the time of each solve are O(N).
-    It offers the same operations as :class:`GramMatrix`. Its solves divide
-    the right-hand side by ``chol`` twice, so a unit diagonal returns the
-    right-hand side unchanged.
-    """
-
-    matrix: np.ndarray
-    chol: np.ndarray
-    applied_jitter: float = 0.0
-
-    def __post_init__(self):
-        chol = np.asarray(self.chol, dtype=float)
-        if chol.ndim != 1 or not np.all(np.isfinite(chol)):
-            raise ValueError("diagonal Cholesky factor must be a finite vector")
-        object.__setattr__(self, "chol", chol)
-        for arr in (self.matrix, self.chol):
-            arr.setflags(write=False)
-
-    @property
-    def n_pixels(self):
-        return self.matrix.shape[0]
-
-    def _rsolve(self, Zc):
-        """Zc K_U^{-1} over the last axis of Zc."""
-        return Zc / self.chol / self.chol
-
-    def solve(self, B):
-        """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
-        return self._rsolve(np.asarray_chkfinite(B).T).T
-
-    @property
-    def log_det(self):
-        return 2.0 * np.sum(np.log(self.chol))
-
-    def sqrt_matvec(self, E):
-        """E L^T over the last axis of E: maps white noise to covariance K_U."""
-        return E * self.chol
 
 
 def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
@@ -262,9 +234,9 @@ def build_gram(grid, kernel):
 
     Returns
     -------
-    GramMatrix or DiagonalGram
-        A :class:`DiagonalGram` for the dirac kernel, whose Gram matrix is
-        ``sigma_k2`` times the identity.
+    GramMatrix
+        For the dirac kernel, whose Gram matrix is ``sigma_k2`` times the
+        identity, a diagonal factor: the (N,) vector sqrt(sigma_k2).
 
     Raises
     ------
@@ -280,8 +252,7 @@ def build_gram(grid, kernel):
     if np.any(np.all(s[1:] == s[:-1], axis=1)):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
-        d = np.full(len(grid), kernel.sigma_k2)
-        return DiagonalGram(d, np.sqrt(d))
+        return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
     K = kernel(grid, grid)  # exactly symmetric: cdist squares exact negations
     L, jit = _cholesky_with_jitter(K, kernel.sigma_k2, kernel.jitter)
     del K  # before GramMatrix makes its column-major copy of the factor
@@ -395,7 +366,7 @@ def gp_prior_logpdf(A, spec, gram):
     A : ndarray, shape (P, N)
         Abundance image, strictly interior columns.
     spec : PriorSpec
-    gram : GramMatrix or DiagonalGram
+    gram : GramMatrix
 
     The result reduces exactly to :func:`pixel_prior_logpdf` for a single
     pixel with unit kernel amplitude.

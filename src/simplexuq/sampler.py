@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError
-from .prior import DiagonalGram, GramMatrix, PriorSpec, prior_quadratic, sample_latent_field
+from .prior import GramMatrix, PriorSpec, prior_quadratic, sample_latent_field
 
 INIT_MODES = ("prior-draw", "uniform-image")
 
@@ -94,7 +94,7 @@ class PosteriorModel:
     S: np.ndarray
     obs: Observations
     prior: PriorSpec
-    gram: GramMatrix | DiagonalGram
+    gram: GramMatrix
     _StS: np.ndarray = field(init=False, repr=False)
     _Xs: np.ndarray = field(init=False, repr=False)
     _c: float = field(init=False, repr=False)

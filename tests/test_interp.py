@@ -149,6 +149,9 @@ def test_observation_validation():
         PartialObservation(np.array([0]), np.array([[1.0], [0.0], [0.0]]))
     with pytest.raises(ValueError):
         PartialObservation(np.array([0]), np.full((3, 1), 1.0 / 3.0), nugget=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="nugget"):
+            PartialObservation(np.array([0]), np.full((3, 1), 1.0 / 3.0), nugget=bad)
 
 
 def test_index_and_part_count_checks():

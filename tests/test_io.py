@@ -324,6 +324,19 @@ def test_config_rejects_non_finite_constants(tmp_path, constant):
         sio.load_run_config(p)
 
 
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_config_rejects_numbers_that_overflow(tmp_path, number):
+    # json parses these to +-inf through parse_float, not parse_constant;
+    # an infinite sigma_k2 must not reach KernelSpec from a config.
+    p = tmp_path / "run.json"
+    p.write_text(
+        '{"n_parts": 3, "prior": {"sigma_a2": 1.0, "kernel": {"kind": "dirac", '
+        f'"sigma_k2": {number}}}}}, "sampler": {{"step_size": 1e-3, "n_steps": 2, "seed": 0}}}}'
+    )
+    with pytest.raises(ConfigError, match=f"{number} overflows"):
+        sio.load_run_config(p)
+
+
 def test_prior_spec_config_round_trip():
     from simplexuq.prior import KernelSpec
 

@@ -7,7 +7,6 @@ from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
     _SYMV_MIN_PIXELS,
-    DiagonalGram,
     GramMatrix,
     KernelSpec,
     PriorSpec,
@@ -172,6 +171,7 @@ def test_gram_off_diagonal_at_length_scale():
 def test_gram_dirac_is_identity():
     grid = square_grid(3, 3)
     gram = build_gram(grid, KernelSpec(kind="dirac"))
+    assert isinstance(gram, GramMatrix)
     assert gram.matrix.shape == gram.chol.shape == (9,)
     assert np.array_equal(gram.matrix, np.ones(9))
     assert np.array_equal(gram.chol, np.ones(9))
@@ -361,6 +361,13 @@ def test_kernel_spec_validation():
         KernelSpec(length_scale=0.0)
     with pytest.raises(ValueError):
         KernelSpec(jitter=-1.0)
+    # Non-finite hyperparameters: with sigma_k2=inf the jitter escalation
+    # never ends, length_scale=inf gives a constant kernel and jitter=nan
+    # would be recorded as the applied jitter.
+    for bad in (np.inf, -np.inf, np.nan):
+        for name in ("length_scale", "sigma_k2", "jitter"):
+            with pytest.raises(ValueError, match=name):
+                KernelSpec(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +511,7 @@ def test_gram_solves_reject_nonfinite_rhs(bad):
 
 def _diagonal_and_dense(n, sigma_k2):
     d = np.full(n, sigma_k2)
-    return DiagonalGram(d, np.sqrt(d)), GramMatrix(np.diag(np.sqrt(d)))
+    return GramMatrix(np.sqrt(d)), GramMatrix(np.diag(np.sqrt(d)))
 
 
 def test_diagonal_gram_matches_dense_diagonal():
@@ -530,6 +537,9 @@ def test_diagonal_gram_solves_reject_nonfinite_rhs(bad):
     for gram in (diag, dense):
         with pytest.raises(ValueError):
             gram.solve(B)
+        # A right-hand side of the wrong length must not broadcast.
+        with pytest.raises(ValueError):
+            gram.solve(np.ones((1, 2)))
 
 
 def test_gram_rejects_nonfinite_factor():
@@ -541,7 +551,7 @@ def test_gram_rejects_nonfinite_factor():
     d = np.ones(4)
     d[2] = np.nan
     with pytest.raises(ValueError):
-        DiagonalGram(np.ones(4), d)
+        GramMatrix(d)
 
 
 def test_gp_logpdf_pixel_relabeling_invariance():
