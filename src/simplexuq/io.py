@@ -348,13 +348,30 @@ def _parse_finite_float(text):
     return x
 
 
+def _parse_float_sized_int(text):
+    # an integer literal goes to parse_int, and a Python int has no bound:
+    # one too large for a float would reach the kernel and fail there.
+    n = int(text)
+    try:
+        float(n)
+    except OverflowError:
+        raise ConfigError(f"config number {text} overflows a float") from None
+    return n
+
+
 def load_run_config(path):
     """Load and validate a run configuration. Strict JSON: NaN and Infinity
-    are rejected, and so are numbers that overflow to infinity, as every
-    JSON this package writes must be finite."""
+    are rejected, and so are numbers too large for a float (1e400, or 1
+    followed by 400 zeros), as every JSON this package writes must be
+    finite."""
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_json_constant, parse_float=_parse_finite_float)
+            doc = json.load(
+                fh,
+                parse_constant=_reject_json_constant,
+                parse_float=_parse_finite_float,
+                parse_int=_parse_float_sized_int,
+            )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(doc)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from simplexuq import io as sio
 from simplexuq.cli import main
@@ -147,6 +148,26 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["exit_code"] == 1
     assert "seed" in payload["message"]
+
+
+@pytest.mark.parametrize("key", ["sigma_k2", "sigma_a2"])
+def test_config_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys, key):
+    # 1 followed by 400 zeros parses to a Python int; at the kernel it
+    # used to raise TypeError from np.sqrt, a bare traceback.
+    prior = {"sigma_a2": 1.0, "kernel": {"kind": "dirac"}}
+    (prior["kernel"] if key == "sigma_k2" else prior)[key] = 0
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, prior=prior, grid={"width": 2, "height": 2})
+    cfg_path.write_text(cfg_path.read_text().replace(f'"{key}": 0', f'"{key}": 1' + "0" * 400))
+    code = main(["--error-json", "synth", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("error: config number 1000")
+    payload = json.loads(lines[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["exit_code"] == 1
+    assert "overflows a float" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_stack_header_is_validation_error(tmp_path, capsys):

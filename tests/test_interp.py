@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexuq import geometry
+from simplexuq import geometry, interp
 from simplexuq.interp import PartialObservation, interpolate
 from simplexuq.prior import KernelSpec, PriorSpec, build_gram, gp_prior_sample
 
@@ -36,7 +36,8 @@ def solve_triangular_variance(obs, spec, grid):
 
 
 def three_temporary_interpolate(obs, spec, grid):
-    """Mean and variance with C_oo built as 0.5 * (C + C.T) + nugget * I."""
+    """Mean and variance with C_oo built as 0.5 * (C + C.T) + nugget * I,
+    from the whole N x K cross-covariance at once."""
     from scipy.linalg import cho_factor, cho_solve
     from scipy.linalg.blas import dtrmm
     from scipy.linalg.lapack import dtrtri
@@ -143,6 +144,13 @@ def test_nugget_smooths_observations():
 def test_observation_validation():
     with pytest.raises(ValueError):
         PartialObservation(np.array([], dtype=int), np.zeros((3, 0)))
+    # an empty list is float64 to numpy: the emptiness check answers first
+    with pytest.raises(ValueError, match="at least one observed pixel"):
+        PartialObservation([], np.zeros((3, 0)))
+    # a boolean mask would become indices [1, 0], floats would truncate
+    for bad in ([True, False], np.array([0.9, 2.7]), np.array([0.0, 2.0])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PartialObservation(bad, np.full((3, 2), 1.0 / 3.0))
     with pytest.raises(ValueError):
         PartialObservation(np.array([0, 0]), np.full((3, 2), 1.0 / 3.0))
     with pytest.raises(geometry.SimplexBoundaryError):
@@ -229,3 +237,50 @@ def test_interpolation_peak_memory_is_the_cross_covariance():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * N * K * 8
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_blocked_interpolation_matches_unblocked_and_dense_oracle(nugget, kind):
+    # 37 x 30 = 1110 pixels: two whole blocks and a partial last one
+    rng = np.random.default_rng(23)
+    grid = square_grid(37, 30)
+    N, K = len(grid), 111
+    assert N > 2 * interp._BLOCK_PIXELS and N % interp._BLOCK_PIXELS
+    spec = PriorSpec(P=3, sigma_a2=0.7, kernel=KernelSpec(kind=kind, length_scale=4.0, sigma_k2=1.3),
+                     mean=np.array([0.2, -0.4]))
+    obs_idx = np.sort(rng.choice(N, K, replace=False))
+    obs = PartialObservation(obs_idx, rng.dirichlet(np.ones(3), size=K).T, nugget)
+    A, var = interpolate(obs, spec, grid)
+
+    A_ref, var_ref = three_temporary_interpolate(obs, spec, grid)
+    assert np.max(np.abs(A - A_ref)) < 1e-13
+    assert np.max(np.abs(var - var_ref)) < 1e-13
+
+    mu = spec.latent_mean
+    mean_oracle, var_oracle = dense_gp_oracle(
+        grid, obs_idx, geometry.ilr(obs.values.T, spec.H) - mu, spec.kernel, spec.sigma_a2, nugget
+    )
+    assert np.max(np.abs(A - geometry.ilr_inv(mu + mean_oracle, spec.H).T)) < 1e-13
+    assert np.max(np.abs(var - np.maximum(var_oracle, 0.0))) < 1e-13
+
+
+@pytest.mark.parametrize("width, height", [(64, 48), (128, 96)])
+def test_interpolation_peak_memory_follows_the_block_not_the_grid(width, height):
+    # The observed block is K x K and one block of the cross-covariance
+    # block x K; the rest is O(N P). A whole N x K cross-covariance, or a
+    # second block kept alive while the next is built, breaks the bound.
+    rng = np.random.default_rng(2)
+    grid = square_grid(width, height)
+    N, K = len(grid), 300
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=10.0))
+    obs = PartialObservation(np.sort(rng.choice(N, K, replace=False)), rng.dirichlet(np.ones(3), size=K).T)
+    interpolate(obs, spec, grid)  # imports and lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        interpolate(obs, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1.25 * (K * K + interp._BLOCK_PIXELS * K) + 2 * spec.P * N)
+    assert peak < 0.5 * N * K * 8

@@ -324,10 +324,15 @@ def test_config_rejects_non_finite_constants(tmp_path, constant):
         sio.load_run_config(p)
 
 
-@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+@pytest.mark.parametrize(
+    "number",
+    ["1e400", "-1e400",
+     pytest.param("1" + "0" * 400, id="int-1e400"), pytest.param("-1" + "0" * 400, id="int--1e400")],
+)
 def test_config_rejects_numbers_that_overflow(tmp_path, number):
-    # json parses these to +-inf through parse_float, not parse_constant;
-    # an infinite sigma_k2 must not reach KernelSpec from a config.
+    # json parses the first two to +-inf through parse_float, not
+    # parse_constant, and the integer literals to ints too large for a
+    # float through parse_int; neither may reach KernelSpec from a config.
     p = tmp_path / "run.json"
     p.write_text(
         '{"n_parts": 3, "prior": {"sigma_a2": 1.0, "kernel": {"kind": "dirac", '
