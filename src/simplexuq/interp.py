@@ -33,6 +33,7 @@ import numpy as np
 
 from . import geometry
 from .errors import IllConditionedKernelError
+from .prior import _as_grid
 
 # Grid pixels per block of the cross-covariance. Block sizes from 128 to
 # 768 took the same time with K = 921 observed pixels (BENCH_14.json).
@@ -85,8 +86,8 @@ def interpolate(obs, spec, grid):
         Prior hyperparameters; `spec.kernel` supplies the spatial
         covariance, scaled by `spec.sigma_a2` in latent space.
     grid : ndarray, shape (N, 2)
-        Coordinates of every pixel to predict (the observed pixels are
-        indexed into this grid).
+        Finite coordinates of every pixel to predict (the observed pixels
+        are indexed into this grid).
 
     Returns
     -------
@@ -95,7 +96,7 @@ def interpolate(obs, spec, grid):
         and the per-pixel latent predictive variance, shape (N,), shared by
         all P-1 latent dimensions.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _as_grid(grid)
     N = len(grid)
     if np.any(obs.indices < 0) or np.any(obs.indices >= N):
         raise ValueError("observed indices outside the grid")

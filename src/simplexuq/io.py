@@ -25,14 +25,17 @@ from .errors import ConfigError
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
-def _atomic_write_bytes(path, data):
-    """Write bytes to path via a temp file in the same directory."""
+def _atomic_write_bytes(path, *buffers):
+    """Write buffers, one after another, to path via a temp file in the
+    same directory. A buffer is any C-contiguous bytes-like object (a
+    ``memoryview`` of an array writes its memory without a copy)."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for data in buffers:
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,29 +86,39 @@ def _write_container(path, arr, width, height, dtype, count_keys):
         payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"payload holds non-finite values (NaN or infinity) as {dtype}")
-    _atomic_write_bytes(path, _header_bytes(header) + payload.tobytes())
+    _atomic_write_bytes(path, _header_bytes(header), memoryview(payload))
 
 
 def _read_container(path, count_keys):
     """Read a container written by `_write_container`; returns (float64
-    array of shape (*counts, width*height), header)."""
+    array of shape (*counts, width*height), header).
+
+    The payload is read straight into its array: a float64 payload is
+    never copied, a float32 one once, by the cast.
+    """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        payload = fh.read()
-    for key in ("band_order", "dtype", "height", "width", *count_keys):
-        if key not in header:
-            raise ValueError(f"header missing key {key!r}")
-    for key in (*count_keys, "width", "height"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise ValueError(f"header key {key!r} must be a positive integer, got {header[key]!r}")
-    if header["dtype"] not in _DTYPES:
-        raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    dt = np.dtype(_DTYPES[header["dtype"]])
-    shape = (*(header[key] for key in count_keys), header["width"] * header["height"])
-    expected = math.prod(shape) * dt.itemsize
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=dt).reshape(shape).astype(float)
+        for key in ("band_order", "dtype", "height", "width", *count_keys):
+            if key not in header:
+                raise ValueError(f"header missing key {key!r}")
+        for key in (*count_keys, "width", "height"):
+            if type(header[key]) is not int or header[key] < 1:
+                raise ValueError(f"header key {key!r} must be a positive integer, got {header[key]!r}")
+        if header["dtype"] not in _DTYPES:
+            raise ValueError(f"unsupported dtype {header['dtype']!r}")
+        dt = np.dtype(_DTYPES[header["dtype"]])
+        shape = (*(header[key] for key in count_keys), header["width"] * header["height"])
+        expected = math.prod(shape) * dt.itemsize
+        # A file's size is checked before the array is allocated, so a
+        # header that claims a huge payload costs nothing; a pipe's payload
+        # is counted as it is read.
+        size = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else expected
+        if size == expected:
+            arr = np.empty(shape, dtype=dt)
+            size = fh.readinto(arr) + len(fh.read())
+        if size != expected:
+            raise ValueError(f"payload is {size} bytes, expected {expected}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError("payload holds non-finite values (NaN or infinity)")
     return arr, header
@@ -122,6 +135,8 @@ def read_cube(path):
 
 
 SUM_TOL_READ = 1e-6
+# Stack entries whose pixel sums read_abundance_stack checks at a time.
+_SUM_BLOCK_DOUBLES = 1 << 15
 
 
 def write_abundance_stack(path, stack, width, height, dtype="float64"):
@@ -139,14 +154,16 @@ def read_abundance_stack(path):
     with a warning.
     """
     stack, header = _read_container(path, ("n_frames", "n_parts"))
-    sums = stack.sum(axis=1)
-    worst = np.max(np.abs(sums - 1.0))
+    # Column sums a block of frames at a time: for the whole stack, the sums
+    # and their deviations would each take a P-th of its memory.
+    step = max(1, _SUM_BLOCK_DOUBLES // stack[0].size)
+    worst = max(np.max(np.abs(stack[s : s + step].sum(axis=1) - 1.0)) for s in range(0, len(stack), step))
     if worst > SUM_TOL_READ:
         warnings.warn(
             f"abundance stack columns sum to 1 only within {worst:.2e}; renormalizing",
             stacklevel=2,
         )
-        stack = stack / sums[:, None, :]
+        stack /= stack.sum(axis=1, keepdims=True)
     return stack, header
 
 
@@ -428,7 +445,7 @@ def write_pgm16(path, img, sidecar_path=None):
         scaled = np.zeros(img.shape, dtype=">u2")
         degenerate = True
     head = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
-    _atomic_write_bytes(path, head + scaled.tobytes())
+    _atomic_write_bytes(path, head, memoryview(scaled))
     if sidecar_path is not None:
         write_json_sidecar(
             sidecar_path,

@@ -87,7 +87,8 @@ class GramMatrix:
     ``chol`` is one of two kinds of factor:
 
     - for a dense kernel (exponential), the lower factor, an (N, N) array
-      stored column-major;
+      stored column-major; the one ``build_gram`` returns is the kernel
+      matrix itself, factored in place, and is kept without a copy;
     - for a diagonal kernel (dirac), the (N,) vector of square roots of the
       diagonal, so memory and the time of each solve are O(N).
 
@@ -195,13 +196,22 @@ class GramMatrix:
         return E @ self.chol.T
 
 
-def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
-    """Factor K, escalating diagonal jitter from 1e-10*scale to 1e-4*scale.
+def _cholesky_with_jitter(make_K, scale, initial_jitter=0.0):
+    """Factor make_K() in place, escalating diagonal jitter from
+    1e-10*scale to 1e-4*scale.
+
+    ``make_K`` returns a new, exactly symmetric, C-ordered matrix on each
+    call. LAPACK ``dpotrf`` factors its transpose, which equals it and is
+    F-ordered as LAPACK reads it, so the lower factor returned is the
+    matrix's own memory. A failed attempt has overwritten its matrix, and
+    ``clean`` has zeroed the untouched triangle, so the next attempt asks
+    for a new one after dropping it: one N x N array at a time.
 
     The initial jitter is tried first, then only the escalation steps above
     it: a smaller jitter cannot succeed where a larger one failed.
     """
-    n = K.shape[0]
+    from scipy.linalg.lapack import dpotrf
+
     jitters = [initial_jitter]
     j = _JITTER_START * scale
     while j <= _JITTER_MAX * scale * (1 + 1e-9):
@@ -209,27 +219,39 @@ def _cholesky_with_jitter(K, scale, initial_jitter=0.0):
             jitters.append(j)
         j *= 10.0
     for jit in jitters:
-        Kj = K
-        if jit > 0:
-            # Jitter on the diagonal of a copy: no N x N identity temporaries.
-            Kj = K.copy()
-            Kj.reshape(-1)[:: n + 1] += jit
-        try:
-            return np.linalg.cholesky(Kj), jit
-        except np.linalg.LinAlgError:
-            continue
+        K = make_K()
+        n = len(K)
+        K.reshape(-1)[:: n + 1] += jit
+        L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return L, jit
+        del K, L
     raise IllConditionedKernelError(
         f"Cholesky failed for a {n}x{n} Gram matrix even with jitter {_JITTER_MAX * scale:g}"
     )
 
 
+def _as_grid(grid):
+    """Pixel coordinates as a float (N, 2) array; ValueError on a
+    non-finite coordinate, before any kernel is evaluated."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid coordinates must be finite")
+    return grid
+
+
 def build_gram(grid, kernel):
     """Discretize a spatial kernel on pixel coordinates.
+
+    The exponential kernel matrix is evaluated once and factored in place
+    (LAPACK ``dpotrf``), and the factor is kept without a copy: set-up
+    holds one N x N array. A failed factorization evaluates the kernel
+    again for the next jitter.
 
     Parameters
     ----------
     grid : ndarray, shape (N, 2)
-        Distinct pixel coordinates in pixel units.
+        Distinct, finite pixel coordinates in pixel units.
     kernel : KernelSpec
 
     Returns
@@ -240,10 +262,12 @@ def build_gram(grid, kernel):
 
     Raises
     ------
+    ValueError
+        If the grid is empty or holds a repeated or non-finite coordinate.
     IllConditionedKernelError
         If the factorization fails after the maximum jitter.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _as_grid(grid)
     if grid.size == 0:
         raise ValueError("grid must contain at least one pixel")
     # Sorted rows, then adjacent rows compared exactly (0.0 equals -0.0):
@@ -253,10 +277,8 @@ def build_gram(grid, kernel):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
-    K = kernel(grid, grid)  # exactly symmetric: cdist squares exact negations
-    L, jit = _cholesky_with_jitter(K, kernel.sigma_k2, kernel.jitter)
-    del K  # before GramMatrix makes its column-major copy of the factor
-    return GramMatrix(L, jit)
+    # kernel(grid, grid) is exactly symmetric: cdist squares exact negations
+    return GramMatrix(*_cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2, kernel.jitter))
 
 
 @dataclass(frozen=True, eq=False)

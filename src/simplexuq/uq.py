@@ -34,6 +34,25 @@ def _as_samples(samples, interior=True):
     return geometry.check_interior(a, name="samples") if interior else a
 
 
+# Doubles of samples that _moments reads at a time from a stack of images.
+# Its temporaries are a few times this size, so the memory it needs beyond
+# its input and result does not grow with the number of samples.
+_MOMENT_BLOCK_DOUBLES = 1 << 15
+
+
+def _sum0(total, x):
+    """total + x[0] + x[1] + ... over axis 0, added in that order (x alone
+    when total is None).
+
+    ``np.add.reduce`` over axis 0 adds the samples one after another when
+    each holds more than one entry, so a sum taken a block at a time this
+    way has the bits of one sum over the whole stack.
+    """
+    if total is not None:
+        x = np.concatenate([total[None], x])
+    return np.add.reduce(x, axis=0)
+
+
 def _moments(samples, geodesic=True):
     """Moments over axis 0 of (M, ..., P) compositions.
 
@@ -42,16 +61,41 @@ def _moments(samples, geodesic=True):
     (..., P-1). Variances use ddof=1 and are zero for a single sample.
     With ``geodesic=False`` the three geodesic entries are None and no
     logarithm is taken, so compositions on the boundary are allowed.
+
+    A stack whose samples hold two or more compositions each (images) is
+    read a block of at most ``_MOMENT_BLOCK_DOUBLES`` entries at a time,
+    twice: once for the means, once for the squared deviations, with the
+    ilr coordinates recomputed rather than kept. Each sample's ilr
+    coordinates are then a product of their own and each sum adds the
+    samples in order, so the results have the bits of ``mean`` and ``var``
+    over the whole stack. Other stacks are read whole: their ilr product
+    spans the samples, and numpy sums one-entry samples pairwise.
     """
     M = samples.shape[0]
-    eu_mean = samples.mean(axis=0)
-    eu_var = samples.var(axis=0, ddof=1).sum(axis=-1) if M > 1 else np.zeros(samples.shape[1:-1])
+    block = M
+    if samples.ndim > 2 and samples[0].size > samples.shape[-1]:
+        block = max(1, _MOMENT_BLOCK_DOUBLES // samples[0].size)
+    blocks = [samples[s : s + block] for s in range(0, M, block)]
+
+    def mean_and_var(transform):
+        total = None
+        for x in blocks:
+            total = _sum0(total, transform(x))
+        mean = total / M
+        if M == 1:
+            return mean, np.zeros(mean.shape)
+        total = None
+        for x in blocks:
+            d = transform(x) - mean
+            total = _sum0(total, np.square(d, out=d))
+        return mean, total / (M - 1)
+
+    eu_mean, eu_var = mean_and_var(lambda x: x)
+    eu_var = eu_var.sum(axis=-1)
     if not geodesic:
         return eu_mean, None, eu_var, None, None
-    z = geometry.ilr(samples)
-    geo_mean = geometry.ilr_inv(z.mean(axis=0))
-    ilr_var = z.var(axis=0, ddof=1) if M > 1 else np.zeros(z.shape[1:])
-    return eu_mean, geo_mean, eu_var, ilr_var.sum(axis=-1), ilr_var
+    z_mean, ilr_var = mean_and_var(geometry.ilr)
+    return eu_mean, geometry.ilr_inv(z_mean), eu_var, ilr_var.sum(axis=-1), ilr_var
 
 
 def euclidean_mean(samples):
@@ -365,6 +409,12 @@ class ImageSummary:
 
 def summarize_image(chain, shape=None):
     """Per-pixel UQ summary of a sample chain.
+
+    The moments are taken a block of samples at a time, each block at most
+    ``_MOMENT_BLOCK_DOUBLES`` chain entries, so the memory a summary needs
+    beyond its chain and its result does not grow with the chain; the
+    fields have the bits of moments over the whole chain at once. A
+    single-pixel chain is summarised whole.
 
     Parameters
     ----------

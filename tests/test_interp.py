@@ -182,6 +182,21 @@ def test_nonfinite_grid_coordinate_rejected():
         interpolate(obs, spec, grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_nonfinite_grid_coordinate_rejected_before_the_kernel(kind, bad, monkeypatch):
+    def never(self, U1, U2):
+        raise AssertionError("kernel evaluated on a non-finite grid")
+
+    grid = square_grid(3, 3)
+    grid[4, 1] = bad
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(kind=kind, length_scale=2.0))
+    obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
+    monkeypatch.setattr(KernelSpec, "__call__", never)
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        interpolate(obs, spec, grid)
+
+
 @pytest.mark.parametrize("nugget", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["exponential", "dirac"])
 def test_in_place_observed_covariance_matches_three_temporary_formula(nugget, kind):

@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,6 +138,66 @@ def test_container_missing_key_and_wrong_rank(tmp_path):
         sio.write_cube(tmp_path / "x.cube", np.zeros((2, 2, 4)), width=2, height=2)
     with pytest.raises(ValueError):
         sio.write_abundance_stack(tmp_path / "x.stack", np.zeros(4), width=2, height=2)
+
+
+@pytest.mark.parametrize("kind", ["cube", "stack"])
+@pytest.mark.parametrize("extra", [-16, -1, 1, 8])
+def test_container_payload_of_the_wrong_size(tmp_path, kind, extra):
+    read, header = _VALID_HEADERS[kind]
+    size = {"cube": 32, "stack": 16}[kind]
+    p = tmp_path / f"bad.{kind}"
+    _write_header(p, header, size + extra)
+    with pytest.raises(ValueError, match=f"payload is {size + extra} bytes, expected {size}"):
+        read(p)
+    # A header that claims an impossibly large payload is refused by size,
+    # before any array is allocated for it.
+    _write_header(p, {**header, "width": 10**9, "height": 10**9}, size)
+    with pytest.raises(ValueError, match=f"payload is {size} bytes, expected"):
+        read(p)
+
+
+def test_stack_reads_from_a_pipe(tmp_path):
+    # A pipe has no size to check before reading: its payload is counted
+    # as it is read, with the same messages as a file's.
+    stack = np.full((2, 3, 4), 1.0 / 3.0)
+    sio.write_abundance_stack(tmp_path / "s.stack", stack, 2, 2)
+    data = (tmp_path / "s.stack").read_bytes()
+    fifo = tmp_path / "fifo"
+    for payload, error in ((data, None), (data[:-8], "payload is 184 bytes, expected 192"),
+                           (data + b"abc", "payload is 195 bytes, expected 192")):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,))
+        writer.start()
+        try:
+            if error is None:
+                assert np.array_equal(sio.read_abundance_stack(fifo)[0], stack)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    sio.read_abundance_stack(fifo)
+        finally:
+            writer.join(timeout=10)
+            os.unlink(fifo)
+        assert not writer.is_alive()
+
+
+def test_stack_write_and_read_peak_memory(tmp_path):
+    # Under tracemalloc a write holds no copy of a float64 chain (only the
+    # finiteness mask, an eighth of it), and a read holds the array it
+    # returns plus that mask.
+    chain = np.random.default_rng(31).dirichlet(np.ones(3), size=(100, 1024)).transpose(0, 2, 1).copy()
+    p = tmp_path / "chain.stack"
+    tracemalloc.start()
+    try:
+        sio.write_abundance_stack(p, chain, 32, 32)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back, _ = sio.read_abundance_stack(p)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, chain)
+    assert write_peak < 0.25 * chain.nbytes
+    assert read_peak < 1.25 * chain.nbytes
 
 
 def _write_raw_container(path, arr, width, height, dtype, count_keys):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
@@ -242,12 +243,12 @@ def test_cholesky_jitter_escalation_and_failure():
     # A barely indefinite matrix is rescued by the escalating jitter...
     K = np.eye(3)
     K[0, 0] = -1e-7
-    L, jit = _cholesky_with_jitter(K, scale=1.0)
+    L, jit = _cholesky_with_jitter(K.copy, scale=1.0)
     assert jit > 1e-7
     # ...but a strongly indefinite one exhausts the policy.
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IllConditionedKernelError):
-        _cholesky_with_jitter(bad, scale=1.0)
+        _cholesky_with_jitter(bad.copy, scale=1.0)
 
 
 def test_cholesky_jitter_ladder_starts_above_initial_jitter(monkeypatch):
@@ -256,41 +257,45 @@ def test_cholesky_jitter_ladder_starts_above_initial_jitter(monkeypatch):
     Q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((3, 3)))
     K = Q @ np.diag([1.0, 0.5, -5e-7]) @ Q.T
     K = 0.5 * (K + K.T)
-    _, jit_from_zero = _cholesky_with_jitter(K, scale=1.0)
+    _, jit_from_zero = _cholesky_with_jitter(K.copy, scale=1.0)
     calls = []
-    cholesky = np.linalg.cholesky
+    dpotrf = lapack.dpotrf
 
-    def counting(M):
-        calls.append(M)
-        return cholesky(M)
+    def counting(a, **kwargs):
+        calls.append(a)
+        return dpotrf(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    _, jit = _cholesky_with_jitter(K, scale=1.0, initial_jitter=1e-7)
+    monkeypatch.setattr(lapack, "dpotrf", counting)
+    _, jit = _cholesky_with_jitter(K.copy, scale=1.0, initial_jitter=1e-7)
     assert len(calls) == 2
     assert jit == jit_from_zero
 
 
 def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch):
-    # The jitter goes on the diagonal of a copy; every matrix handed to the
-    # factorization, and the factor build_gram keeps, must be exactly what
-    # K + jit * I gives, with K = (K + K^T) / 2.
+    # The jitter goes on the diagonal of the matrix itself; every matrix
+    # handed to the factorization, and the factor build_gram keeps, must be
+    # exactly what K + jit * I gives, for an exactly symmetric K.
     grid = square_grid(6, 5)
     Q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((4, 4)))
     indefinite = Q @ np.diag([1.0, 0.5, 0.2, -5e-7]) @ Q.T
-    cholesky = np.linalg.cholesky
+    indefinite = 0.5 * (indefinite + indefinite.T)
+    dpotrf = lapack.dpotrf
     calls = []
 
-    def recording(M):
-        calls.append(M.copy())
-        return cholesky(M)
+    def recording(a, **kwargs):
+        calls.append(a.copy())
+        return dpotrf(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    def factor(K):
+        return dpotrf(K, lower=1, clean=1)[0]
+
+    monkeypatch.setattr(lapack, "dpotrf", recording)
     for K, initial in ((indefinite, 0.0), (indefinite, 1e-7)):
         calls.clear()
-        L, jit = _cholesky_with_jitter(K, 1.0, initial)
+        L, jit = _cholesky_with_jitter(K.copy, 1.0, initial)
         assert jit > 0 and len(calls) >= 2
         assert np.array_equal(calls[-1], K + jit * np.eye(len(K)))
-        assert np.array_equal(L, cholesky(K + jit * np.eye(len(K))))
+        assert np.array_equal(L, factor(K + jit * np.eye(len(K))))
     for kernel, want_jitter in (
         (KernelSpec(length_scale=3.0), 0.0),
         (KernelSpec(length_scale=3.0, jitter=1e-3), 1e-3),
@@ -298,12 +303,62 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
         calls.clear()
         gram = build_gram(grid, kernel)
         K = kernel(grid, grid)
-        K = 0.5 * (K + K.T)
         if want_jitter > 0:
             K = K + want_jitter * np.eye(len(grid))
         assert gram.applied_jitter == want_jitter
         assert len(calls) == 1 and np.array_equal(calls[0], K)
-        assert np.array_equal(gram.chol, cholesky(K))
+        assert np.array_equal(gram.chol, factor(K))
+
+
+def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
+    # The factor build_gram keeps is the kernel matrix's own memory, and a
+    # build holds one N x N array at a time under tracemalloc, failed
+    # attempts of the jitter ladder included.
+    grid = square_grid(24, 24)
+    nbytes = len(grid) ** 2 * 8
+    kernels = []
+    call = KernelSpec.__call__
+
+    def recording(self, U1, U2):
+        kernels.append(call(self, U1, U2))
+        return kernels[-1]
+
+    monkeypatch.setattr(KernelSpec, "__call__", recording)
+    for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=5.0, jitter=1e-6)):
+        kernels.clear()
+        tracemalloc.start()
+        try:
+            gram = build_gram(grid, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kernels) == 1 and np.shares_memory(gram.chol, kernels[0])
+        assert peak <= 1.2 * nbytes
+        del gram
+    # Eigenvalue -5e-7 at the grid's size: five attempts fail before 1e-6.
+    Q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((len(grid), len(grid))))
+    K = (Q * np.linspace(-5e-7, 1.0, len(grid))) @ Q.T
+    K = 0.5 * (K + K.T)
+    del Q
+    tracemalloc.start()
+    try:
+        L, jit = _cholesky_with_jitter(K.copy, scale=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jit == 1e-6 and L.shape == K.shape
+    assert peak <= 1.2 * nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_gram_rejects_nonfinite_grid_before_the_kernel(kind, bad, monkeypatch):
+    def never(self, U1, U2):
+        raise AssertionError("kernel evaluated on a non-finite grid")
+
+    monkeypatch.setattr(KernelSpec, "__call__", never)
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        build_gram(np.array([[0.0, 0.0], [bad, 1.0]]), KernelSpec(kind=kind))
 
 
 def test_gram_stores_factor_and_precision_only():
@@ -333,9 +388,9 @@ def test_gram_stores_factor_and_precision_only():
 
 def test_gram_peak_memory_is_three_matrices():
     # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
-    # space) a build peaks at three N x N arrays at most (the jittered one
-    # holds K, its jittered copy and the factor) and keeps the factor; the
-    # first solve adds the precision and peaks at those two arrays.
+    # space) a build peaks at three N x N arrays at most and keeps the
+    # factor; the first solve adds the precision and peaks at those two
+    # arrays. The in-place test below holds a build to one array.
     grid = square_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from simplexuq import geometry
+from simplexuq import geometry, uq
 from simplexuq.prior import PriorSpec, pixel_prior_sample
 from simplexuq.uq import (
     BarycentricGrid,
@@ -315,6 +317,41 @@ def test_summarize_shapes_and_pixel_accessor():
 def test_summarize_requires_nonempty_chain():
     with pytest.raises(ValueError):
         summarize_image(np.zeros((0, 3, 4)))
+
+
+def whole_chain_moments(samples):
+    """The moments of (M, ..., P) samples by numpy's mean and var over the
+    whole stack at once: the bits a blocked summary must reproduce."""
+    eu_var = samples.var(axis=0, ddof=1).sum(axis=-1) if len(samples) > 1 else np.zeros(samples.shape[1:-1])
+    z = geometry.ilr(samples)
+    ilr_var = z.var(axis=0, ddof=1) if len(samples) > 1 else np.zeros(z.shape[1:])
+    return samples.mean(axis=0), geometry.ilr_inv(z.mean(axis=0)), eu_var, ilr_var.sum(axis=-1), ilr_var
+
+
+@pytest.mark.parametrize("P, N", [(3, 64), (2, 5), (4, 1000), (2, 1), (3, 1)])
+def test_blocked_summary_has_the_bits_of_whole_chain_moments(P, N):
+    # Chains of 1, block - 1, block, block + 1 and 1000 samples, where a
+    # block is what summarize_image reads at a time.
+    block = max(1, uq._MOMENT_BLOCK_DOUBLES // (P * N))
+    rng = np.random.default_rng(32)
+    for M in sorted({1, max(block - 1, 1), block, block + 1, 1000}):
+        chain = rng.dirichlet(np.full(P, 0.7), size=(M, N)).transpose(0, 2, 1)
+        s = summarize_image(chain)
+        fields = (s.euclidean_mean.T, s.geodesic_mean.T, s.euclidean_total_variance,
+                  s.geodesic_total_variance, s.ilr_variances.T)
+        for got, want in zip(fields, whole_chain_moments(np.swapaxes(chain, 1, 2)), strict=True):
+            assert np.array_equal(got, want), (M, P, N)
+
+
+def test_summary_peak_memory_is_a_fraction_of_the_chain():
+    chain = np.random.default_rng(33).dirichlet(np.ones(3), size=(200, 1024)).transpose(0, 2, 1).copy()
+    tracemalloc.start()
+    try:
+        summarize_image(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * chain.nbytes
 
 
 def test_map_total_variation_hand_value():
