@@ -10,6 +10,7 @@ exact chart Jacobian, so they integrate to 1 with respect to Lebesgue
 measure on the first P-1 components of each pixel.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,21 @@ _JITTER_MAX = 1e-4
 # BLAS thread; not checked with multi-threaded BLAS or other cache sizes.
 _SYMV_MIN_PIXELS = 480
 
+# Columns per block when the precision's lower triangle is mirrored: about
+# 1 ms at N = 1024 against 4 ms row by row (blocks of 16 to 64 alike), with
+# an 8 kB temporary.
+_MIRROR_BLOCK = 32
+
+# Entries of one row block of an exponential kernel evaluation: the result
+# is filled a block of rows at a time, so its scratch buffers stay in cache
+# and add at most 1/32 of a 1024 x 1024 result to the peak.
+_KERNEL_BLOCK_ENTRIES = 2**14
+
+# An exponential kernel is evaluated by table lookup when the table of
+# pixel offsets has at most 1/8 as many entries as the result: the table
+# then adds little to the peak, and its exponentials little to the time.
+_LATTICE_SHARE = 8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -39,6 +55,16 @@ class KernelSpec:
     ``dirac`` is ``sigma_k2`` at zero distance and 0 elsewhere (the
     non-spatialized prior). ``jitter`` is an initial diagonal boost applied
     before the escalation policy kicks in.
+
+    The exponential kernel is evaluated with numpy alone. On a lattice
+    (integer coordinates whose offsets fill a box of no more offsets than
+    the result has entries) a stationary kernel takes one value per pixel
+    offset (Dietrich & Newsam 1997, SIAM J. Sci. Comput. 18:1088): each
+    value is computed once, into a table, and the result is filled by
+    lookup. Other coordinates have their squared differences summed
+    column by column. Both give every entry the bits of ``cdist``'s
+    distance, scaled in the same operation order, and ``kernel(U, U)`` is
+    exactly symmetric.
     """
 
     kind: str = "exponential"
@@ -58,26 +84,92 @@ class KernelSpec:
             raise ValueError("jitter must be nonnegative and finite")
 
     def __call__(self, U1, U2):
-        """Cross-covariance matrix between two coordinate sets (n1, 2), (n2, 2)."""
+        """Cross-covariance matrix between two coordinate sets (n1, d), (n2, d)."""
         U1 = np.atleast_2d(np.asarray(U1, dtype=float))
         U2 = np.atleast_2d(np.asarray(U2, dtype=float))
+        if U1.ndim != 2 or U2.ndim != 2 or U1.shape[1] != U2.shape[1] or U1.shape[1] == 0:
+            raise ValueError(f"coordinate sets of shapes {U1.shape} and {U2.shape}: need (n1, d) and (n2, d)")
         if self.kind == "dirac":
             # Exact coordinate equality, as build_gram's distinctness check:
             # a distance of 1e-200 squares to zero.
             same = np.all(U1[:, None, :] == U2[None, :, :], axis=-1)
             return self.sigma_k2 * same.astype(float)
-        # scipy is imported by the exponential kernel only, so a dirac-only
-        # run never loads it.
-        from scipy.spatial.distance import cdist
+        n1, n2 = len(U1), len(U2)
+        out = np.empty((n1, n2))
+        rows = max(1, _KERNEL_BLOCK_ENTRIES // max(n2, 1))
+        lattice = _lattice_offsets(U1, U2, out.size)
+        if lattice is not None:
+            table, P1, P2 = lattice
+            self._scale_distances(table)
+            idx = np.empty((min(rows, n1), n2), dtype=np.intp)
+            for s in range(0, n1, rows):
+                e = min(s + rows, n1)
+                np.subtract(P1[s:e, None], P2, out=idx[: e - s])
+                # "clip" writes into out unbuffered; no index leaves the table
+                np.take(table, idx[: e - s], out=out[s:e], mode="clip")
+            return out
+        sq = np.empty((min(rows, n1), n2))
+        for s in range(0, n1, rows):
+            e = min(s + rows, n1)
+            d = out[s:e]
+            _sum_squared_differences(U1[s:e].T, U2.T, d, sq[: e - s])
+            np.sqrt(d, out=d)
+            self._scale_distances(d)
+        return out
 
-        d = cdist(U1, U2)
-        # Built in place: each temporary would be as large as the result
-        # (65 MB for a 9216 x 921 cross-covariance).
+    def _scale_distances(self, d):
+        """sigma_k2 * exp(-(d / length_scale)), in place: a temporary would
+        be as large as d."""
         np.divide(d, self.length_scale, out=d)
         np.negative(d, out=d)
         np.exp(d, out=d)
         d *= self.sigma_k2
-        return d
+
+
+def _lattice_offsets(U1, U2, size):
+    """The distance of every pixel offset of two sets of lattice coordinates.
+
+    When every coordinate is an integer and the coordinates span s_k along
+    axis k, each offset u - u' lies in a box of prod(2 s_k + 1) offsets.
+    Returns the distances of that box's offsets, row-major, and intp
+    positions P1 and P2 such that the offset of U1[i] from U2[j] is entry
+    P1[i] - P2[j]; or None unless the coordinates are integers and the box
+    has at most ``size / _LATTICE_SHARE`` offsets. Integer coordinates this
+    close together differ exactly in floating point, and the squares and
+    sums of those differences stay exact, so each distance is ``cdist``'s:
+    the square root of the same integer.
+    """
+    if size == 0:
+        return None
+    lo = np.minimum(U1.min(axis=0), U2.min(axis=0))
+    span = np.maximum(U1.max(axis=0), U2.max(axis=0)) - lo
+    # NaN and infinity fail the first test, a fractional coordinate the second
+    if not np.all(span <= size) or np.any(U1 != np.floor(U1)) or np.any(U2 != np.floor(U2)):
+        return None
+    span = span.astype(np.intp)
+    width = 2 * span + 1
+    if _LATTICE_SHARE * math.prod(width.tolist()) > size:
+        return None
+    d2 = np.zeros(1)
+    for s in span:
+        d2 = np.add.outer(d2, np.arange(-s, s + 1.0) ** 2).ravel()
+    # row-major strides of the box; the lower corner is subtracted before the
+    # cast, so coordinates beyond intp's range stay exact
+    stride = np.append(np.cumprod(width[:0:-1])[::-1], 1)
+    P2 = (U2 - lo).astype(np.intp) @ stride
+    P1 = (U1 - lo).astype(np.intp) @ stride + span @ stride
+    return np.sqrt(d2, out=d2), P1, P2
+
+
+def _sum_squared_differences(C1, C2, out, sq):
+    """out[i, j] = sum over k of (C1[k, i] - C2[k, j])**2, added coordinate by
+    coordinate in ``cdist``'s order; ``sq`` is scratch of out's shape."""
+    np.subtract(C1[0][:, None], C2[0], out=out)
+    np.square(out, out=out)
+    for a, b in zip(C1[1:], C2[1:]):
+        np.subtract(a[:, None], b, out=sq)
+        np.square(sq, out=sq)
+        out += sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +231,17 @@ class GramMatrix:
 
         inv = lapack.dpotri(self.chol, lower=1)[0]
         # dpotri fills the lower triangle; mirror it into the upper one, in
-        # place. The symmetric F-ordered array, transposed, is C-ordered.
-        for j in range(len(inv) - 1):
-            inv[j, j + 1 :] = inv[j + 1 :, j]
+        # place, a block of columns at a time: the part below the diagonal
+        # block is copied into the rows beside it, and the diagonal block
+        # through a b x b copy, so there is no N x N temporary. The
+        # symmetric F-ordered array, transposed, is C-ordered.
+        n, b = len(inv), _MIRROR_BLOCK
+        upper = np.triu(np.ones((b, b), dtype=bool), 1)
+        for s in range(0, n, b):
+            e = min(s + b, n)
+            inv[s:e, e:] = inv[e:, s:e].T
+            block = inv[s:e, s:e]
+            np.copyto(block, block.T.copy(), where=upper[: e - s, : e - s])
         inv.setflags(write=False)
         return inv.T
 
@@ -277,7 +377,8 @@ def build_gram(grid, kernel):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
-    # kernel(grid, grid) is exactly symmetric: cdist squares exact negations
+    # kernel(grid, grid) is exactly symmetric: each entry squares a difference
+    # and its exact negation
     return GramMatrix(*_cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2, kernel.jitter))
 
 

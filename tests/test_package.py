@@ -31,6 +31,27 @@ with tempfile.TemporaryDirectory() as d:
 print(sorted(m for m in ("numpy.ma", "scipy.linalg", "scipy.spatial", "scipy.stats") if m in sys.modules))
 """
 
+EXPONENTIAL_PIPELINE = """
+import sys
+import numpy as np
+from simplexuq.interp import PartialObservation, interpolate
+from simplexuq.io import make_grid
+from simplexuq.prior import KernelSpec, PriorSpec, build_gram
+from simplexuq.sampler import Observations, PosteriorModel, SamplerConfig, mirror_langevin
+from simplexuq.synth import builtin_endmembers, synth_generate
+
+grid = make_grid(4, 3)
+S, _ = builtin_endmembers(16, 3)
+spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=2.0))
+scene = synth_generate(S, grid, spec, snr_db=20.0, rng=0)
+gram = build_gram(grid, spec.kernel)
+model = PosteriorModel(S, Observations(scene.X, scene.sigma2), spec, gram)
+mirror_langevin(model, SamplerConfig(step_size=1e-3, n_steps=50, seed=1))
+observed = np.arange(0, len(grid), 3)
+interpolate(PartialObservation(observed, scene.A[:, observed]), spec, grid)
+print(sorted(m for m in ("scipy.linalg", "scipy.sparse", "scipy.spatial") if m in sys.modules))
+"""
+
 EXPONENTIAL_GRAM = """
 import sys
 from simplexuq.io import make_grid
@@ -56,11 +77,18 @@ def test_every_exported_name_resolves():
 
 
 def test_dirac_pipeline_leaves_scipy_unloaded():
-    # scipy serves only the exponential kernel, interpolation, the latent-KDE
-    # HDR and the .mat loaders; importing it costs most of the package's
+    # scipy serves only LAPACK (exponential Gram matrices, interpolation), the
+    # latent-KDE HDR and the .mat loaders; importing it costs most of the package's
     # start-up, so the CLI import and a whole dirac run must not load it.
     # Nor may they load numpy.ma (about 10 ms), which np.unique(axis=0) does.
     assert run_fresh(DIRAC_PIPELINE) == "[]"
+
+
+def test_exponential_pipeline_loads_lapack_but_not_scipy_spatial():
+    # The exponential kernel is evaluated with numpy: scipy.spatial, and the
+    # scipy.sparse it imports, cost about 0.1 s and 9 MB, and no LAPACK call
+    # needs them.
+    assert run_fresh(EXPONENTIAL_PIPELINE) == "['scipy.linalg']"
 
 
 def test_exponential_gram_loads_lapack_before_first_solve():

@@ -1,8 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import lapack
+from scipy.spatial.distance import cdist
 
 from simplexuq import geometry
 from simplexuq.errors import IllConditionedKernelError
@@ -12,6 +16,7 @@ from simplexuq.prior import (
     KernelSpec,
     PriorSpec,
     _cholesky_with_jitter,
+    _lattice_offsets,
     build_gram,
     gp_prior_logpdf,
     gp_prior_sample,
@@ -189,8 +194,6 @@ def test_dirac_kernel_separates_underflowing_distances():
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (9, 7)])
 def test_dirac_kernel_matches_zero_distance_rule_on_grids(shape):
-    from scipy.spatial.distance import cdist
-
     grid = square_grid(*shape)
     other = np.vstack([grid[::2], grid[::3] + 0.5])
     for U1, U2 in ((grid, grid), (grid, other), (other, grid)):
@@ -207,6 +210,131 @@ def test_kernel_of_a_coordinate_set_is_exactly_symmetric(kind, length_scale, sig
     U = np.vstack([rng.uniform(-30.0, 30.0, size=(300, 2)), square_grid(9, 7) * 0.1 + 1.0 / 3.0])
     K = KernelSpec(kind=kind, length_scale=length_scale, sigma_k2=sigma_k2)(U, U)
     assert np.array_equal(K, K.T)
+
+
+def cdist_kernel(kernel, U1, U2):
+    """The exponential kernel from scipy's Euclidean distances."""
+    return kernel.sigma_k2 * np.exp(-(cdist(U1, U2) / kernel.length_scale))
+
+
+# A lattice far from the origin still has small offsets, although
+# 2^40 + 11 squared is not a double.
+_OFFSETS = [0.0, -3.0, -17.0, 2.0**40, -(2.0**40)]
+
+
+@st.composite
+def kernel_specs(draw):
+    return KernelSpec(
+        length_scale=draw(st.floats(0.05, 50.0)), sigma_k2=draw(st.floats(1e-3, 1e3))
+    )
+
+
+@st.composite
+def lattice_subsets(draw):
+    """Two random subsets of one w x h lattice, shifted by one offset."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shift = np.array([draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_OFFSETS))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = square_grid(w, h) + shift
+    return tuple(grid[rng.random(len(grid)) < rng.uniform(0.1, 1.0)] for _ in range(2))
+
+
+@given(lattice_subsets(), kernel_specs())
+def test_exponential_kernel_has_the_bits_of_cdist_on_lattices(sets, kernel):
+    U1, U2 = sets
+    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
+    K = kernel(U1, U1)
+    assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), kernel_specs())
+def test_exponential_kernel_has_the_bits_of_cdist_on_lattices_of_any_dimension(dim, seed, kernel):
+    rng = np.random.default_rng(seed)
+    U1, U2 = (rng.integers(-1, 2, size=(rng.integers(1, 40), dim)).astype(float) for _ in range(2))
+    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
+    K = kernel(U1, U1)
+    assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
+
+
+def test_lattice_beyond_the_integer_range_keeps_its_offsets():
+    # 2^64 does not fit an intp: offsets are taken from the lower corner
+    # before any cast.
+    U = np.column_stack([np.full(24, 2.0**64), np.arange(24.0)])
+    kernel = KernelSpec(length_scale=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lattice_offsets(U, U, len(U) ** 2) is not None
+        assert np.array_equal(kernel(U, U), cdist_kernel(kernel, U, U))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 2.0**40]), kernel_specs())
+def test_exponential_kernel_has_the_bits_of_cdist_off_lattices(seed, scale, kernel):
+    rng = np.random.default_rng(seed)
+    U1 = scale * rng.uniform(-1.0, 1.0, size=(rng.integers(1, 40), 2))
+    U2 = np.vstack([U1[: rng.integers(0, len(U1) + 1)], square_grid(3, 2) + 0.5])
+    assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
+    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
+    K = kernel(U1, U1)
+    assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
+
+
+@given(st.integers(12, 2**45), kernel_specs())
+def test_far_apart_lattices_use_the_general_path(gap, kernel):
+    # Integer coordinates whose offsets would need a table too large for the
+    # result fall back to summing squared differences.
+    U1, U2 = square_grid(3, 4), square_grid(2, 2) + [float(gap), 1.0]
+    assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
+    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
+
+
+def test_lattice_path_serves_gram_matrices_and_interpolation_blocks():
+    grid = square_grid(32, 32)
+    assert len(_lattice_offsets(grid, grid, len(grid) ** 2)[0]) == 63**2
+    big = square_grid(96, 96)
+    observed = big[np.random.default_rng(3).choice(len(big), 921, replace=False)]
+    assert _lattice_offsets(big[:512], observed, 512 * 921) is not None
+    kernel = KernelSpec(length_scale=4.0, sigma_k2=0.7)
+    assert np.array_equal(kernel(grid, grid), cdist_kernel(kernel, grid, grid))
+    assert np.array_equal(kernel(big[:512], observed), cdist_kernel(kernel, big[:512], observed))
+
+
+def test_lattice_table_is_at_most_an_eighth_of_the_result():
+    # 63 x 63 offsets of a 32 x 32 grid: too many for 20 x 1024 entries, few
+    # enough for 40 x 1024
+    grid = square_grid(32, 32)
+    assert _lattice_offsets(grid[:20], grid, 20 * 1024) is None
+    table, _, _ = _lattice_offsets(grid[:40], grid, 40 * 1024)
+    assert 8 * table.size <= 40 * 1024
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_exponential_kernel_peak_memory_is_its_result(shift):
+    # Lattice (shift 0) and general path alike fill the result in row blocks
+    # with no full-size temporary.
+    grid = square_grid(32, 32) + shift
+    tracemalloc.start()
+    try:
+        K = KernelSpec(length_scale=4.0)(grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * K.nbytes
+
+
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_kernel_rejects_mismatched_coordinate_dimensions(kind):
+    kernel = KernelSpec(kind=kind)
+    pairs = [
+        ([[1.0, 1.0], [0.0, 0.0]], [[1.0], [2.0]]),
+        ([[1.0], [2.0]], [[1.0, 1.0]]),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+        (np.zeros((2, 0)), np.zeros((3, 0))),
+    ]
+    for U1, U2 in pairs:
+        with pytest.raises(ValueError, match="coordinate sets"):
+            kernel(U1, U2)
+    # a single coordinate may be given as a vector
+    assert kernel([0.0, 0.0], [[0.0, 0.0], [3.0, 4.0]]).shape == (1, 2)
 
 
 def test_gram_symmetry_and_cholesky():
@@ -384,6 +512,17 @@ def test_gram_stores_factor_and_precision_only():
     assert np.array_equal(gram.solve(Zc.T), gram._rsolve(Zc).T)
     with pytest.raises(ValueError):
         GramMatrix(np.diag([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 479, 480, 1024])
+def test_precision_mirror_has_the_bits_of_the_row_by_row_copy(n):
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.uniform(-0.1, 0.1, (n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+    gram = GramMatrix(L)
+    inv = lapack.dpotri(gram.chol, lower=1)[0]
+    for j in range(n - 1):
+        inv[j, j + 1 :] = inv[j + 1 :, j]
+    assert np.array_equal(gram._precision, inv.T)
 
 
 def test_gram_peak_memory_is_three_matrices():
