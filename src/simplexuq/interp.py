@@ -23,11 +23,12 @@ share of the mean and overwrites them with L^{-1} c_n for the variance,
 so each kernel pass works on a piece that stays in cache (Goto & van de
 Geijn 2008, ACM TOMS 34:12). Peak memory is O(K^2 + block K + N P), not
 O(N K). On a 96 x 96 grid with 921 observed pixels (one BLAS thread, 2
-vCPUs) a call takes about 190 ms and peaks at 11.4 MB under
+vCPUs) a call takes about 215 ms and peaks at 11.4 MB under
 ``tracemalloc`` (BENCH_16.json), against 290 ms and 76 MB with the whole
-cross-covariance (BENCH_14.json). The kernel fills each block from a
-table of pixel offsets (see ``KernelSpec``): 225 ms and 10.9 MB when its
-distances came from scipy's ``cdist``.
+cross-covariance (BENCH_14.json). The kernel fills the blocks from a
+table of pixel offsets (see ``KernelSpec``) in about 27 ms of that; when
+it sums squared coordinate differences instead, as it does off a
+lattice, a call takes about 265 ms.
 """
 
 from dataclasses import dataclass

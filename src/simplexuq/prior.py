@@ -31,11 +31,6 @@ _JITTER_MAX = 1e-4
 # BLAS thread; not checked with multi-threaded BLAS or other cache sizes.
 _SYMV_MIN_PIXELS = 480
 
-# Columns per block when the precision's lower triangle is mirrored: about
-# 1 ms at N = 1024 against 4 ms row by row (blocks of 16 to 64 alike), with
-# an 8 kB temporary.
-_MIRROR_BLOCK = 32
-
 # Entries of one row block of an exponential kernel evaluation: the result
 # is filled a block of rows at a time, so its scratch buffers stay in cache
 # and add at most 1/32 of a 1024 x 1024 result to the peak.
@@ -231,17 +226,9 @@ class GramMatrix:
 
         inv = lapack.dpotri(self.chol, lower=1)[0]
         # dpotri fills the lower triangle; mirror it into the upper one, in
-        # place, a block of columns at a time: the part below the diagonal
-        # block is copied into the rows beside it, and the diagonal block
-        # through a b x b copy, so there is no N x N temporary. The
-        # symmetric F-ordered array, transposed, is C-ordered.
-        n, b = len(inv), _MIRROR_BLOCK
-        upper = np.triu(np.ones((b, b), dtype=bool), 1)
-        for s in range(0, n, b):
-            e = min(s + b, n)
-            inv[s:e, e:] = inv[e:, s:e].T
-            block = inv[s:e, s:e]
-            np.copyto(block, block.T.copy(), where=upper[: e - s, : e - s])
+        # place. The symmetric F-ordered array, transposed, is C-ordered.
+        for j in range(len(inv) - 1):
+            inv[j, j + 1 :] = inv[j + 1 :, j]
         inv.setflags(write=False)
         return inv.T
 

@@ -514,17 +514,6 @@ def test_gram_stores_factor_and_precision_only():
         GramMatrix(np.diag([1.0, 0.0, 2.0]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 479, 480, 1024])
-def test_precision_mirror_has_the_bits_of_the_row_by_row_copy(n):
-    rng = np.random.default_rng(n)
-    L = np.tril(rng.uniform(-0.1, 0.1, (n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
-    gram = GramMatrix(L)
-    inv = lapack.dpotri(gram.chol, lower=1)[0]
-    for j in range(n - 1):
-        inv[j, j + 1 :] = inv[j + 1 :, j]
-    assert np.array_equal(gram._precision, inv.T)
-
-
 def test_gram_peak_memory_is_three_matrices():
     # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
     # space) a build peaks at three N x N arrays at most and keeps the
