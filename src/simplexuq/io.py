@@ -425,8 +425,9 @@ def write_json_sidecar(path, payload):
 # ---------------------------------------------------------------------------
 
 
-def write_pgm16(path, img, sidecar_path=None):
-    """16-bit grayscale PGM, min-max scaled; the scale goes in a JSON sidecar.
+def write_pgm16(path, img, sidecar_path):
+    """16-bit grayscale PGM, min-max scaled; the scale goes in the JSON sidecar
+    ``sidecar_path``.
 
     A constant map is written as zeros and the sidecar records the
     degenerate scale. A map holding NaN or infinity has no scale and raises
@@ -446,11 +447,10 @@ def write_pgm16(path, img, sidecar_path=None):
         degenerate = True
     head = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
     _atomic_write_bytes(path, head, memoryview(scaled))
-    if sidecar_path is not None:
-        write_json_sidecar(
-            sidecar_path,
-            {"vmin": vmin, "vmax": vmax, "degenerate": degenerate, "maxval": 65535},
-        )
+    write_json_sidecar(
+        sidecar_path,
+        {"vmin": vmin, "vmax": vmax, "degenerate": degenerate, "maxval": 65535},
+    )
 
 
 def write_map(base, img):
@@ -492,12 +492,13 @@ def bary_to_cart(a, P=None):
     return a @ corners
 
 
-def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr=None):
+def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr=None):
     """Write plot-ready ternary (P=3) or tetrahedral (P=4) scatter data.
 
     Produces ``<prefix>_samples.csv`` with cartesian coordinates,
-    ``<prefix>_means.csv``, optionally ``<prefix>_hdr_cells.csv`` (one row
-    per cell vertex) and a self-contained ``<prefix>.svg`` for P=3.
+    ``<prefix>_means.csv`` with the geodesic and Euclidean means,
+    optionally ``<prefix>_hdr_cells.csv`` (one row per cell vertex) and a
+    self-contained ``<prefix>.svg`` for P=3.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     P = samples.shape[1]
@@ -509,15 +510,9 @@ def export_ternary(prefix, samples, geodesic_mean=None, euclidean_mean=None, hdr
     cols = ["x", "y", "z"][: xy.shape[1]]
     write_float_csv(f"{prefix}_samples.csv", xy, header=cols)
 
-    mean_rows, mean_names = [], []
-    if geodesic_mean is not None:
-        mean_rows.append(bary_to_cart(geodesic_mean, P)[0])
-        mean_names.append("geodesic")
-    if euclidean_mean is not None:
-        mean_rows.append(bary_to_cart(euclidean_mean, P)[0])
-        mean_names.append("euclidean")
-    if mean_rows:
-        _write_csv(f"{prefix}_means.csv", ["estimator"] + cols, mean_rows, [[n] for n in mean_names])
+    mean_names = ["geodesic", "euclidean"]
+    mean_rows = [bary_to_cart(m, P)[0] for m in (geodesic_mean, euclidean_mean)]
+    _write_csv(f"{prefix}_means.csv", ["estimator"] + cols, mean_rows, [[n] for n in mean_names])
 
     hdr_polys = []
     if hdr is not None and hdr.grid is not None:

@@ -212,6 +212,11 @@ class GramMatrix:
             raise ValueError("Cholesky factor must be a finite square matrix or vector")
         if not np.all((chol if chol.ndim == 1 else np.diag(chol)) != 0.0):
             raise ValueError("Cholesky factor must have a nonzero diagonal")
+        # Solves and log_det read the lower triangle only, so a nonzero entry
+        # above the diagonal would make them disagree with `matrix`. Column
+        # by column: chol[:j, j] is contiguous in the F-ordered factor.
+        if chol.ndim == 2 and any(chol[:j, j].any() for j in range(1, len(chol))):
+            raise ValueError("Cholesky factor must be lower triangular")
         object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
         if chol.ndim == 2:
@@ -388,8 +393,8 @@ class PriorSpec:
     def __post_init__(self):
         if self.P < 2:
             raise ValueError("need at least 2 parts")
-        if not self.sigma_a2 > 0:
-            raise ValueError("sigma_a2 must be positive")
+        if not 0 < self.sigma_a2 < np.inf:
+            raise ValueError("sigma_a2 must be positive and finite")
         if self.mean is not None:
             m = np.asarray(self.mean, dtype=float)
             if m.shape != (self.P - 1,):

@@ -253,15 +253,11 @@ class SampleChain:
     abundances: np.ndarray
     energy_trace: np.ndarray
     algorithm: str
-    config: SamplerConfig = field(repr=False, default=None)
+    config: SamplerConfig = field(repr=False)
 
     @property
     def n_samples(self):
         return self.abundances.shape[0]
-
-    def latents(self):
-        """ilr coordinates (Helmert basis) of every sample, shape (M, N, P-1)."""
-        return geometry.ilr(np.swapaxes(self.abundances, 1, 2))
 
 
 def _initial_latent(model, cfg, rng):
@@ -284,7 +280,7 @@ _BLOCK_STEPS = 1024
 _BLOCK_DOUBLES = 1 << 13
 
 
-def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
+def _langevin(state, x, cfg, rng, images, project=None):
     """Unadjusted Langevin from ``x``: the loop both samplers share.
 
     Update: x <- x - step * grad U(x) + sqrt(2 step) * noise, then
@@ -298,7 +294,7 @@ def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
     noise_scale = math.sqrt(2.0 * gamma)
     n_steps, burn_in, thinning = cfg.n_steps, cfg.burn_in, cfg.thinning
     block = max(1, min(_BLOCK_STEPS, _BLOCK_DOUBLES // x.size))
-    noise = np.empty((block,) + x.shape) if inject_noise else None
+    noise = np.empty((block,) + x.shape)
     states = np.empty((block,) + x.shape)
     kept = None
     n_kept = 0
@@ -306,10 +302,9 @@ def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             stop = min(start + block, n_steps)
-            if inject_noise:
-                eps = noise[: stop - start]
-                rng.standard_normal(out=eps)
-                eps *= noise_scale
+            eps = noise[: stop - start]
+            rng.standard_normal(out=eps)
+            eps *= noise_scale
             n_buf = 0
             for t in range(start, stop):
                 U, G = state(x)
@@ -317,8 +312,7 @@ def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
                 if not math.isfinite(U):
                     raise DivergenceError(t)
                 x = x - gamma * G
-                if inject_noise:
-                    x += eps[t - start]
+                x += eps[t - start]
                 if project is not None:
                     x = project(x)
                 if t >= burn_in and (t - burn_in) % thinning == 0:
@@ -336,13 +330,12 @@ def _langevin(state, x, cfg, rng, inject_noise, images, project=None):
     return kept, energy
 
 
-def mirror_langevin(model, cfg, inject_noise=True):
+def mirror_langevin(model, cfg):
     """Unadjusted Langevin in the mirror (ilr) dual space.
 
     Update: Z <- Z - step * grad U(Z) + sqrt(2 step) * noise. Samples are
     mapped back through the softmax, so every emitted image is strictly
-    interior. Deterministic for a given seed. ``inject_noise=False`` is a
-    test hook that turns the update into plain gradient descent.
+    interior. Deterministic for a given seed.
 
     Raises
     ------
@@ -356,9 +349,7 @@ def mirror_langevin(model, cfg, inject_noise=True):
     def images(Zs):  # (M, P-1, N) -> (M, P, N), softmax over the parts
         return np.swapaxes(geometry.interior_softmax(np.swapaxes(H @ Zs, 1, 2)), 1, 2)
 
-    kept, energy = _langevin(
-        lambda Z: _latent_state(Z, model), Z, cfg, rng, inject_noise, images
-    )
+    kept, energy = _langevin(lambda Z: _latent_state(Z, model), Z, cfg, rng, images)
     return SampleChain(kept, energy, "mirror-langevin", cfg)
 
 
@@ -408,7 +399,7 @@ def _euclidean_potential_and_gradient(A, model):
     return float(V), G
 
 
-def projected_ula(model, cfg, inject_noise=True):
+def projected_ula(model, cfg):
     """Euclidean Langevin on the abundances with exact simplex projection.
 
     Baseline for comparison with `mirror_langevin`: after every Langevin
@@ -431,7 +422,6 @@ def projected_ula(model, cfg, inject_noise=True):
         A,
         cfg,
         rng,
-        inject_noise,
         images=lambda As: As,
         project=lambda A: geometry.closure(_project_columns(A).T).T,
     )

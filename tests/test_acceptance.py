@@ -43,10 +43,6 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def square_grid(w, h):
-    return sio.make_grid(w, h)
-
-
 @pytest.fixture(scope="module")
 def fig2_runs(tmp_path_factory):
     d1 = tmp_path_factory.mktemp("fig2_a")
@@ -156,7 +152,7 @@ def test_criterion_02_pixel_prior():
 
 def test_criterion_03_gp_prior():
     t0 = time.monotonic()
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     kernel = KernelSpec(length_scale=2.0)
     gram = build_gram(grid, kernel)
     spec = PriorSpec(P=3, sigma_a2=0.5, kernel=kernel)
@@ -196,7 +192,7 @@ def test_criterion_04_gradient_check():
     rng = np.random.default_rng(5)
     worst = 0.0
     for trial in range(20):
-        grid = square_grid(2, 2)
+        grid = sio.make_grid(2, 2)
         kernel = KernelSpec(length_scale=float(rng.uniform(1.0, 4.0)))
         spec = PriorSpec(P=3, sigma_a2=float(rng.uniform(0.3, 3.0)), kernel=kernel)
         S, _ = builtin_endmembers(32, 3)
@@ -222,7 +218,7 @@ def test_criterion_04_gradient_check():
 
 
 def test_criterion_05a_prior_target_moments():
-    grid = square_grid(3, 1)
+    grid = sio.make_grid(3, 1)
     kernel = KernelSpec(length_scale=2.0)
     gram = build_gram(grid, kernel)
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=kernel)
@@ -235,7 +231,8 @@ def test_criterion_05a_prior_target_moments():
         step_size=0.01, n_steps=50_000 + 600 * 2500, burn_in=50_000, thinning=600, seed=5
     )
     chain = mirror_langevin(model, cfg)
-    Zs = np.swapaxes(chain.latents(), 1, 2).reshape(chain.n_samples, -1)  # (M, 2*3) dim-major
+    Z = geometry.ilr(np.swapaxes(chain.abundances, 1, 2))  # (M, N, P-1)
+    Zs = np.swapaxes(Z, 1, 2).reshape(chain.n_samples, -1)  # (M, 2*3) dim-major
     M = len(Zs)
     target = np.kron(spec.sigma_a2 * np.eye(2), gram.matrix)
     mean_dev = float(np.max(np.abs(Zs.mean(axis=0))))
@@ -263,7 +260,7 @@ def test_criterion_05b_quadrature_target():
     M = 100_000
     cfg = SamplerConfig(step_size=5e-4, n_steps=M + 20_000, burn_in=20_000, seed=11)
     chain = mirror_langevin(model, cfg)
-    zs = chain.latents()[:, 0, 0]
+    zs = geometry.ilr(np.swapaxes(chain.abundances, 1, 2))[:, 0, 0]
 
     # quadrature oracle for the 1-D pushforward posterior; bin masses come
     # from the interpolated CDF so the comparison grid resolves the target
@@ -321,7 +318,7 @@ def test_criterion_05d_constraints(fig2_runs):
 
     # projected ULA run on a small problem
     S, _ = builtin_endmembers(32, 3)
-    grid = square_grid(2, 2)
+    grid = sio.make_grid(2, 2)
     kernel = KernelSpec(length_scale=2.0)
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=kernel)
     res = synth_generate(S, grid, spec, snr_db=20.0, rng=9)
@@ -387,7 +384,7 @@ def test_criterion_08_hdr_coverage():
 
 def test_criterion_09_interpolation():
     rng = np.random.default_rng(10)
-    grid = square_grid(6, 6)
+    grid = sio.make_grid(6, 6)
     kernel = KernelSpec(length_scale=2.5)
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=kernel)
     gram = build_gram(grid, kernel)

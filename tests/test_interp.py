@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from simplexuq import geometry, interp
+from simplexuq import io as sio
 from simplexuq.interp import PartialObservation, interpolate
 from simplexuq.prior import KernelSpec, PriorSpec, build_gram, gp_prior_sample
-
-
-def square_grid(w, h):
-    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 def dense_gp_oracle(grid, obs_idx, z_obs, kernel, sigma_a2, nugget):
@@ -56,7 +52,7 @@ def three_temporary_interpolate(obs, spec, grid):
 
 def test_noiseless_interpolation_reproduces_observations():
     rng = np.random.default_rng(0)
-    grid = square_grid(6, 6)
+    grid = sio.make_grid(6, 6)
     kernel = KernelSpec(length_scale=3.0)
     spec = PriorSpec(P=3, sigma_a2=0.5, kernel=kernel)
     obs_idx = np.array([0, 7, 14, 21, 28, 35])
@@ -87,7 +83,7 @@ def test_far_pixel_with_nonzero_mean():
 
 
 def test_full_observation_round_trip():
-    grid = square_grid(6, 6)
+    grid = sio.make_grid(6, 6)
     kernel = KernelSpec(length_scale=2.5)
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=kernel)
     gram = build_gram(grid, kernel)
@@ -100,7 +96,7 @@ def test_full_observation_round_trip():
 
 def test_matches_dense_gp_oracle():
     rng = np.random.default_rng(5)
-    grid = square_grid(5, 5)
+    grid = sio.make_grid(5, 5)
     kernel = KernelSpec(length_scale=2.0, sigma_k2=1.3)
     spec = PriorSpec(P=4, sigma_a2=0.9, kernel=kernel)
     obs_idx = np.array([2, 6, 11, 17, 23])
@@ -117,7 +113,7 @@ def test_matches_dense_gp_oracle():
 
 def test_predictive_variance_nonnegative_and_interior_output():
     rng = np.random.default_rng(6)
-    grid = square_grid(8, 8)
+    grid = sio.make_grid(8, 8)
     spec = PriorSpec(P=3, sigma_a2=1.2, kernel=KernelSpec(length_scale=4.0))
     obs_idx = rng.choice(64, size=10, replace=False)
     values = rng.dirichlet(np.ones(3), size=10).T
@@ -128,7 +124,7 @@ def test_predictive_variance_nonnegative_and_interior_output():
 
 
 def test_nugget_smooths_observations():
-    grid = square_grid(4, 1)
+    grid = sio.make_grid(4, 1)
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=2.0))
     obs_idx = np.array([0, 1, 2, 3])
     values = np.array(
@@ -163,7 +159,7 @@ def test_observation_validation():
 
 
 def test_index_and_part_count_checks():
-    grid = square_grid(2, 2)
+    grid = sio.make_grid(2, 2)
     spec = PriorSpec(P=3, sigma_a2=1.0)
     obs = PartialObservation(np.array([7]), np.full((3, 1), 1.0 / 3.0))
     with pytest.raises(ValueError):
@@ -174,7 +170,7 @@ def test_index_and_part_count_checks():
 
 
 def test_nonfinite_grid_coordinate_rejected():
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     grid[4, 0] = np.nan
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=2.0))
     obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
@@ -188,7 +184,7 @@ def test_nonfinite_grid_coordinate_rejected_before_the_kernel(kind, bad, monkeyp
     def never(self, U1, U2):
         raise AssertionError("kernel evaluated on a non-finite grid")
 
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     grid[4, 1] = bad
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(kind=kind, length_scale=2.0))
     obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
@@ -201,7 +197,7 @@ def test_nonfinite_grid_coordinate_rejected_before_the_kernel(kind, bad, monkeyp
 @pytest.mark.parametrize("kind", ["exponential", "dirac"])
 def test_in_place_observed_covariance_matches_three_temporary_formula(nugget, kind):
     rng = np.random.default_rng(17)
-    grid = square_grid(12, 10)
+    grid = sio.make_grid(12, 10)
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=KernelSpec(kind=kind, length_scale=4.0, sigma_k2=1.3),
                      mean=np.array([0.2, -0.4]))
     obs_idx = np.sort(rng.choice(len(grid), 15, replace=False))
@@ -222,7 +218,7 @@ def test_in_place_observed_covariance_matches_three_temporary_formula(nugget, ki
 )
 def test_variance_matches_triangular_solve_and_dense_oracle(width, length_scale, nugget, step):
     rng = np.random.default_rng(11)
-    grid = square_grid(width, width)
+    grid = sio.make_grid(width, width)
     N = len(grid)
     obs_idx = np.arange(0, N, step) if step else np.sort(rng.choice(N, 300, replace=False))
     spec = PriorSpec(P=3, sigma_a2=0.8, kernel=KernelSpec(length_scale=length_scale, sigma_k2=1.2))
@@ -240,7 +236,7 @@ def test_interpolation_peak_memory_is_the_cross_covariance():
     # such as f2py makes silently of an argument in the wrong memory order,
     # would double the peak.
     rng = np.random.default_rng(2)
-    grid = square_grid(64, 48)
+    grid = sio.make_grid(64, 48)
     N, K = len(grid), 300
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=10.0))
     obs = PartialObservation(np.sort(rng.choice(N, K, replace=False)), rng.dirichlet(np.ones(3), size=K).T)
@@ -259,7 +255,7 @@ def test_interpolation_peak_memory_is_the_cross_covariance():
 def test_blocked_interpolation_matches_unblocked_and_dense_oracle(nugget, kind):
     # 37 x 30 = 1110 pixels: two whole blocks and a partial last one
     rng = np.random.default_rng(23)
-    grid = square_grid(37, 30)
+    grid = sio.make_grid(37, 30)
     N, K = len(grid), 111
     assert N > 2 * interp._BLOCK_PIXELS and N % interp._BLOCK_PIXELS
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=KernelSpec(kind=kind, length_scale=4.0, sigma_k2=1.3),
@@ -286,7 +282,7 @@ def test_interpolation_peak_memory_follows_the_block_not_the_grid(width, height)
     # block x K; the rest is O(N P). A whole N x K cross-covariance, or a
     # second block kept alive while the next is built, breaks the bound.
     rng = np.random.default_rng(2)
-    grid = square_grid(width, height)
+    grid = sio.make_grid(width, height)
     N, K = len(grid), 300
     spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(length_scale=10.0))
     obs = PartialObservation(np.sort(rng.choice(N, K, replace=False)), rng.dirichlet(np.ones(3), size=K).T)

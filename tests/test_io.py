@@ -518,16 +518,19 @@ def test_ternary_export_files(tmp_path):
 
 
 def test_ternary_p4_and_limits(tmp_path):
+    from simplexuq.uq import euclidean_mean, geodesic_mean
+
     rng = np.random.default_rng(7)
     samples = rng.dirichlet(np.ones(4), size=50)
     prefix = str(tmp_path / "tetra")
-    sio.export_ternary(prefix, samples)
+    sio.export_ternary(prefix, samples, geodesic_mean(samples), euclidean_mean(samples))
     assert (tmp_path / "tetra_samples.csv").read_text().startswith("x,y,z\n")
     xyz = np.loadtxt(prefix + "_samples.csv", delimiter=",", skiprows=1)
     assert xyz.shape == (50, 3)
     assert not (tmp_path / "tetra.svg").exists()  # the svg is drawn for P = 3 only
+    five = rng.dirichlet(np.ones(5), size=5)
     with pytest.raises(ValueError):
-        sio.export_ternary(str(tmp_path / "x"), rng.dirichlet(np.ones(5), size=5))
+        sio.export_ternary(str(tmp_path / "x"), five, geodesic_mean(five), euclidean_mean(five))
     with pytest.raises(ValueError):
         sio.simplex_corners(6)
 

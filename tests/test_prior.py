@@ -9,6 +9,7 @@ from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from simplexuq import geometry
+from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.prior import (
     _SYMV_MIN_PIXELS,
@@ -46,11 +47,6 @@ def simplex_quadrature_nodes(bins):
     )
     nodes = np.column_stack([c, 1.0 - c.sum(axis=1)])
     return nodes, 1.0 / (2.0 * bins * bins)
-
-
-def square_grid(w, h):
-    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +151,10 @@ def test_prior_spec_validation():
         PriorSpec(P=1, sigma_a2=1.0)
     with pytest.raises(ValueError):
         PriorSpec(P=3, sigma_a2=1.0, mean=np.zeros(3))
+    # an infinite latent variance is a flat prior, which nothing downstream
+    # can synthesise from, draw from or evaluate
+    with pytest.raises(ValueError, match="sigma_a2"):
+        PriorSpec(P=3, sigma_a2=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_prior_spec_validation():
 
 
 def test_gram_diagonal_is_amplitude():
-    grid = square_grid(4, 3)
+    grid = sio.make_grid(4, 3)
     gram = build_gram(grid, KernelSpec(kind="exponential", length_scale=2.0, sigma_k2=1.7))
     assert np.allclose(np.diag(gram.matrix), 1.7, atol=1e-12)
 
@@ -175,7 +175,7 @@ def test_gram_off_diagonal_at_length_scale():
 
 
 def test_gram_dirac_is_identity():
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     gram = build_gram(grid, KernelSpec(kind="dirac"))
     assert isinstance(gram, GramMatrix)
     assert gram.matrix.shape == gram.chol.shape == (9,)
@@ -194,7 +194,7 @@ def test_dirac_kernel_separates_underflowing_distances():
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (9, 7)])
 def test_dirac_kernel_matches_zero_distance_rule_on_grids(shape):
-    grid = square_grid(*shape)
+    grid = sio.make_grid(*shape)
     other = np.vstack([grid[::2], grid[::3] + 0.5])
     for U1, U2 in ((grid, grid), (grid, other), (other, grid)):
         expected = 1.7 * (cdist(U1, U2) == 0.0).astype(float)
@@ -207,7 +207,7 @@ def test_kernel_of_a_coordinate_set_is_exactly_symmetric(kind, length_scale, sig
     # build_gram and interpolate factor kernel(U, U) as it comes, without
     # averaging it with its transpose, so the symmetry must be exact
     rng = np.random.default_rng(11)
-    U = np.vstack([rng.uniform(-30.0, 30.0, size=(300, 2)), square_grid(9, 7) * 0.1 + 1.0 / 3.0])
+    U = np.vstack([rng.uniform(-30.0, 30.0, size=(300, 2)), sio.make_grid(9, 7) * 0.1 + 1.0 / 3.0])
     K = KernelSpec(kind=kind, length_scale=length_scale, sigma_k2=sigma_k2)(U, U)
     assert np.array_equal(K, K.T)
 
@@ -235,7 +235,7 @@ def lattice_subsets(draw):
     w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     shift = np.array([draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_OFFSETS))])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid = square_grid(w, h) + shift
+    grid = sio.make_grid(w, h) + shift
     return tuple(grid[rng.random(len(grid)) < rng.uniform(0.1, 1.0)] for _ in range(2))
 
 
@@ -271,7 +271,7 @@ def test_lattice_beyond_the_integer_range_keeps_its_offsets():
 def test_exponential_kernel_has_the_bits_of_cdist_off_lattices(seed, scale, kernel):
     rng = np.random.default_rng(seed)
     U1 = scale * rng.uniform(-1.0, 1.0, size=(rng.integers(1, 40), 2))
-    U2 = np.vstack([U1[: rng.integers(0, len(U1) + 1)], square_grid(3, 2) + 0.5])
+    U2 = np.vstack([U1[: rng.integers(0, len(U1) + 1)], sio.make_grid(3, 2) + 0.5])
     assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
     assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
     K = kernel(U1, U1)
@@ -282,15 +282,15 @@ def test_exponential_kernel_has_the_bits_of_cdist_off_lattices(seed, scale, kern
 def test_far_apart_lattices_use_the_general_path(gap, kernel):
     # Integer coordinates whose offsets would need a table too large for the
     # result fall back to summing squared differences.
-    U1, U2 = square_grid(3, 4), square_grid(2, 2) + [float(gap), 1.0]
+    U1, U2 = sio.make_grid(3, 4), sio.make_grid(2, 2) + [float(gap), 1.0]
     assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
     assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
 
 
 def test_lattice_path_serves_gram_matrices_and_interpolation_blocks():
-    grid = square_grid(32, 32)
+    grid = sio.make_grid(32, 32)
     assert len(_lattice_offsets(grid, grid, len(grid) ** 2)[0]) == 63**2
-    big = square_grid(96, 96)
+    big = sio.make_grid(96, 96)
     observed = big[np.random.default_rng(3).choice(len(big), 921, replace=False)]
     assert _lattice_offsets(big[:512], observed, 512 * 921) is not None
     kernel = KernelSpec(length_scale=4.0, sigma_k2=0.7)
@@ -301,7 +301,7 @@ def test_lattice_path_serves_gram_matrices_and_interpolation_blocks():
 def test_lattice_table_is_at_most_an_eighth_of_the_result():
     # 63 x 63 offsets of a 32 x 32 grid: too many for 20 x 1024 entries, few
     # enough for 40 x 1024
-    grid = square_grid(32, 32)
+    grid = sio.make_grid(32, 32)
     assert _lattice_offsets(grid[:20], grid, 20 * 1024) is None
     table, _, _ = _lattice_offsets(grid[:40], grid, 40 * 1024)
     assert 8 * table.size <= 40 * 1024
@@ -311,7 +311,7 @@ def test_lattice_table_is_at_most_an_eighth_of_the_result():
 def test_exponential_kernel_peak_memory_is_its_result(shift):
     # Lattice (shift 0) and general path alike fill the result in row blocks
     # with no full-size temporary.
-    grid = square_grid(32, 32) + shift
+    grid = sio.make_grid(32, 32) + shift
     tracemalloc.start()
     try:
         K = KernelSpec(length_scale=4.0)(grid, grid)
@@ -338,7 +338,7 @@ def test_kernel_rejects_mismatched_coordinate_dimensions(kind):
 
 
 def test_gram_symmetry_and_cholesky():
-    grid = square_grid(5, 4)
+    grid = sio.make_grid(5, 4)
     gram = build_gram(grid, KernelSpec(length_scale=4.0))
     assert np.max(np.abs(gram.matrix - gram.matrix.T)) < 1e-12
     assert np.max(np.abs(gram.chol @ gram.chol.T - gram.matrix)) < 1e-10
@@ -403,7 +403,7 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
     # The jitter goes on the diagonal of the matrix itself; every matrix
     # handed to the factorization, and the factor build_gram keeps, must be
     # exactly what K + jit * I gives, for an exactly symmetric K.
-    grid = square_grid(6, 5)
+    grid = sio.make_grid(6, 5)
     Q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((4, 4)))
     indefinite = Q @ np.diag([1.0, 0.5, 0.2, -5e-7]) @ Q.T
     indefinite = 0.5 * (indefinite + indefinite.T)
@@ -442,7 +442,7 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
     # The factor build_gram keeps is the kernel matrix's own memory, and a
     # build holds one N x N array at a time under tracemalloc, failed
     # attempts of the jitter ladder included.
-    grid = square_grid(24, 24)
+    grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     kernels = []
     call = KernelSpec.__call__
@@ -490,7 +490,7 @@ def test_gram_rejects_nonfinite_grid_before_the_kernel(kind, bad, monkeypatch):
 
 
 def test_gram_stores_factor_and_precision_only():
-    grid = square_grid(8, 6)
+    grid = sio.make_grid(8, 6)
     n = len(grid)
     gram = build_gram(grid, KernelSpec(length_scale=3.0))
 
@@ -519,7 +519,7 @@ def test_gram_peak_memory_is_three_matrices():
     # space) a build peaks at three N x N arrays at most and keeps the
     # factor; the first solve adds the precision and peaks at those two
     # arrays. The in-place test below holds a build to one array.
-    grid = square_grid(24, 24)
+    grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
     for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=5.0, jitter=1e-6)):
@@ -559,7 +559,7 @@ def test_kernel_spec_validation():
 
 
 def test_gp_sample_kronecker_covariance():
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     kernel = KernelSpec(length_scale=2.0)
     gram = build_gram(grid, kernel)
     spec = PriorSpec(P=3, sigma_a2=0.5, kernel=kernel)
@@ -574,7 +574,7 @@ def test_gp_sample_kronecker_covariance():
 
 
 def test_gp_sample_dirac_columns_independent():
-    grid = square_grid(3, 1)
+    grid = sio.make_grid(3, 1)
     gram = build_gram(grid, KernelSpec(kind="dirac"))
     spec = PriorSpec(P=3, sigma_a2=1.0)
     Z = sample_latent_field(spec, gram, 50_000, rng=12)
@@ -583,14 +583,14 @@ def test_gp_sample_dirac_columns_independent():
 
 
 def test_gp_kernel_long_length_scale_correlates_neighbors():
-    grid = square_grid(2, 1)
+    grid = sio.make_grid(2, 1)
     gram = build_gram(grid, KernelSpec(length_scale=1e6))
     corr = gram.matrix[0, 1] / gram.matrix[0, 0]
     assert corr > 1.0 - 1e-5
 
 
 def test_gp_sample_shapes_interior_and_seeded():
-    grid = square_grid(4, 2)
+    grid = sio.make_grid(4, 2)
     gram = build_gram(grid, KernelSpec(length_scale=3.0))
     spec = PriorSpec(P=4, sigma_a2=1.5)
     A = gp_prior_sample(spec, gram, 6, rng=5)
@@ -601,7 +601,7 @@ def test_gp_sample_shapes_interior_and_seeded():
 
 
 def test_gp_sample_nonzero_mean():
-    grid = square_grid(2, 2)
+    grid = sio.make_grid(2, 2)
     gram = build_gram(grid, KernelSpec(length_scale=1.0))
     mean = np.array([2.0, -1.0])
     spec = PriorSpec(P=3, sigma_a2=0.01, mean=mean)
@@ -627,7 +627,7 @@ def test_gp_logpdf_single_pixel_reduces_to_pixel_prior():
 
 
 def test_gram_factor_is_column_major_and_solve_matches_dense():
-    gram = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0))
+    gram = build_gram(sio.make_grid(8, 8), KernelSpec(length_scale=3.0))
     assert gram.chol.flags.f_contiguous
     B = np.random.default_rng(30).standard_normal((64, 2))
     assert np.max(np.abs(gram.solve(B) - np.linalg.solve(gram.matrix, B))) < 1e-10
@@ -640,7 +640,7 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
     from scipy.linalg import blas
 
     side = int(np.ceil(np.sqrt(n)))
-    gram = build_gram(square_grid(side, side)[:n], KernelSpec(length_scale=3.0))
+    gram = build_gram(sio.make_grid(side, side)[:n], KernelSpec(length_scale=3.0))
     K, P = gram.matrix, gram._precision
     rng = np.random.default_rng(34)
     B = rng.standard_normal((n, 2))
@@ -685,7 +685,7 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gram_solves_reject_nonfinite_rhs(bad):
-    gram = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0))
+    gram = build_gram(sio.make_grid(8, 8), KernelSpec(length_scale=3.0))
     B = np.ones((64, 2))
     B[5, 1] = bad
     with pytest.raises(ValueError):
@@ -725,8 +725,19 @@ def test_diagonal_gram_solves_reject_nonfinite_rhs(bad):
             gram.solve(np.ones((1, 2)))
 
 
+def test_gram_rejects_entries_above_the_diagonal():
+    # matrix would read the 0.5, while solves and log_det read the lower
+    # triangle only and would use the identity
+    upper = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="lower triangular"):
+        GramMatrix(upper)
+    lower = GramMatrix(upper.T)
+    B = np.array([[1.0], [2.0]])
+    assert np.allclose(lower.solve(B), np.linalg.solve(lower.matrix, B), rtol=0, atol=1e-14)
+
+
 def test_gram_rejects_nonfinite_factor():
-    K = build_gram(square_grid(8, 8), KernelSpec(length_scale=3.0)).matrix
+    K = build_gram(sio.make_grid(8, 8), KernelSpec(length_scale=3.0)).matrix
     L = np.linalg.cholesky(K)
     L[3, 1] = np.nan
     with pytest.raises(ValueError):
@@ -738,7 +749,7 @@ def test_gram_rejects_nonfinite_factor():
 
 
 def test_gp_logpdf_pixel_relabeling_invariance():
-    grid = square_grid(3, 2)
+    grid = sio.make_grid(3, 2)
     gram = build_gram(grid, KernelSpec(length_scale=2.0))
     spec = PriorSpec(P=3, sigma_a2=0.9)
     rng = np.random.default_rng(10)
@@ -778,7 +789,7 @@ def test_gp_logpdf_dense_inverse_oracle():
 
 
 def test_latent_quadratic_matches_trace_form():
-    grid = square_grid(3, 3)
+    grid = sio.make_grid(3, 3)
     gram = build_gram(grid, KernelSpec(length_scale=2.0))
     spec = PriorSpec(P=4, sigma_a2=1.3, mean=np.array([0.4, -0.1, 0.2]))
     rng = np.random.default_rng(14)
@@ -791,7 +802,7 @@ def test_latent_quadratic_matches_trace_form():
 
 
 def test_gp_logpdf_dimension_mismatch():
-    grid = square_grid(2, 2)
+    grid = sio.make_grid(2, 2)
     gram = build_gram(grid, KernelSpec())
     spec = PriorSpec(P=3, sigma_a2=1.0)
     with pytest.raises(ValueError):
