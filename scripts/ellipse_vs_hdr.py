@@ -73,7 +73,7 @@ def main(output_dir="."):
 
     rows = []
     for kind, outline in (("euclidean", eu_bary), ("latent", lat_bary)):
-        xy = sio.bary_to_cart(np.clip(outline, -0.5, 1.5), 3)
+        xy = sio.bary_to_cart(np.clip(outline, -0.5, 1.5))
         for (x, y), raw in zip(xy, outline):
             rows.append([kind, x, y, float(np.min(raw))])
     with open(os.path.join(output_dir, "ellipse_vs_hdr.csv"), "w") as fh:

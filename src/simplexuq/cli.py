@@ -219,7 +219,7 @@ def cmd_uq(args):
                 samples,
                 geodesic_mean(samples),
                 euclidean_mean(samples),
-                hdr=region if region.grid is not None else None,
+                hdr=region,
             )
         payload["hdr"] = {
             "alpha": alpha,

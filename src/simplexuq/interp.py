@@ -37,7 +37,7 @@ import numpy as np
 
 from . import geometry
 from .errors import IllConditionedKernelError
-from .prior import _as_grid
+from .prior import _as_float, _as_grid
 
 # Grid pixels per block of the cross-covariance. Block sizes from 128 to
 # 768 took the same time with K = 921 observed pixels (BENCH_14.json).
@@ -76,6 +76,7 @@ class PartialObservation:
         geometry.check_interior(vals, name="observed abundances")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "nugget", _as_float(self.nugget, "nugget"))
         if not 0 <= self.nugget < np.inf:
             raise ValueError("nugget must be nonnegative and finite")
 

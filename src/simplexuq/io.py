@@ -71,15 +71,19 @@ def _read_header(fh):
 
 def _write_container(path, arr, width, height, dtype, count_keys):
     """Write an array whose last axis is the pixel axis; its leading axes
-    are recorded in the header under ``count_keys``."""
+    are recorded in the header under ``count_keys``. Every count, the
+    width and the height must be at least 1, as `_read_container` requires."""
     arr = np.asarray(arr)
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
     *counts, N = arr.shape
+    sizes = {**dict(zip(count_keys, counts, strict=True)), "width": width, "height": height}
+    for key, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{key} must be at least 1, got {n}")
     if N != width * height:
         raise ValueError(f"{N} pixels but width*height = {width * height}")
-    header = {"band_order": "band-major", "dtype": dtype, "height": height, "width": width}
-    header.update(zip(count_keys, counts, strict=True))
+    header = {"band_order": "band-major", "dtype": dtype, **sizes}
     # A value beyond the dtype's range casts to infinity; the check below
     # reports it, so numpy's overflow warning is redundant.
     with np.errstate(over="ignore"):
@@ -283,7 +287,6 @@ _CONFIG_SCHEMA = {
             "kind": (str, True),
             "length_scale": ((int, float), False),
             "sigma_k2": ((int, float), False),
-            "jitter": ((int, float), False),
         },
     },
     "noise": {
@@ -350,6 +353,8 @@ def validate_config(doc):
     noise = cfg.get("noise", {})
     if "sigma2" in noise and "snr_db" in noise:
         raise ConfigError("specify either noise.sigma2 or noise.snr_db, not both")
+    if noise.get("sigma2", 0) < 0:
+        raise ConfigError("noise.sigma2 must be nonnegative")
     return cfg
 
 
@@ -486,19 +491,19 @@ def simplex_corners(P):
     raise ValueError("plot embeddings exist for P = 3 or 4 only")
 
 
-def bary_to_cart(a, P=None):
+def bary_to_cart(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    corners = simplex_corners(P or a.shape[1])
-    return a @ corners
+    return a @ simplex_corners(a.shape[1])
 
 
-def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr=None):
+def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr):
     """Write plot-ready ternary (P=3) or tetrahedral (P=4) scatter data.
 
     Produces ``<prefix>_samples.csv`` with cartesian coordinates,
     ``<prefix>_means.csv`` with the geodesic and Euclidean means,
-    optionally ``<prefix>_hdr_cells.csv`` (one row per cell vertex) and a
-    self-contained ``<prefix>.svg`` for P=3.
+    ``<prefix>_hdr_cells.csv`` (one row per cell vertex) when ``hdr`` has
+    histogram cells to draw (a KDE region has none) and a self-contained
+    ``<prefix>.svg`` for P=3.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     P = samples.shape[1]
@@ -506,17 +511,17 @@ def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr=None):
         raise ValueError("ternary export supports P <= 4")
     if P < 3:
         raise ValueError("ternary export needs P >= 3")
-    xy = bary_to_cart(samples, P)
+    xy = bary_to_cart(samples)
     cols = ["x", "y", "z"][: xy.shape[1]]
     write_float_csv(f"{prefix}_samples.csv", xy, header=cols)
 
     mean_names = ["geodesic", "euclidean"]
-    mean_rows = [bary_to_cart(m, P)[0] for m in (geodesic_mean, euclidean_mean)]
+    mean_rows = [bary_to_cart(m)[0] for m in (geodesic_mean, euclidean_mean)]
     _write_csv(f"{prefix}_means.csv", ["estimator"] + cols, mean_rows, [[n] for n in mean_names])
 
     hdr_polys = []
-    if hdr is not None and hdr.grid is not None:
-        hdr_polys = [bary_to_cart(hdr.grid.cell_vertices(cell), P) for cell in hdr.region_cells]
+    if hdr.grid is not None:
+        hdr_polys = [bary_to_cart(hdr.grid.cell_vertices(cell)) for cell in hdr.region_cells]
         _write_csv(
             f"{prefix}_hdr_cells.csv",
             ["cell", "vertex"] + cols,

@@ -48,8 +48,7 @@ class KernelSpec:
 
     ``exponential`` is ``sigma_k2 * exp(-||u - u'|| / length_scale)``;
     ``dirac`` is ``sigma_k2`` at zero distance and 0 elsewhere (the
-    non-spatialized prior). ``jitter`` is an initial diagonal boost applied
-    before the escalation policy kicks in.
+    non-spatialized prior).
 
     The exponential kernel is evaluated with numpy alone. On a lattice
     (integer coordinates whose offsets fill a box of no more offsets than
@@ -65,18 +64,17 @@ class KernelSpec:
     kind: str = "exponential"
     length_scale: float = 1.0
     sigma_k2: float = 1.0
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
+        for name in ("length_scale", "sigma_k2"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         # Chained comparisons reject NaN as well as infinity.
         if not 0 < self.length_scale < np.inf:
             raise ValueError("length_scale must be positive and finite")
         if not 0 < self.sigma_k2 < np.inf:
             raise ValueError("sigma_k2 must be positive and finite")
-        if not 0 <= self.jitter < np.inf:
-            raise ValueError("jitter must be nonnegative and finite")
 
     def __call__(self, U1, U2):
         """Cross-covariance matrix between two coordinate sets (n1, d), (n2, d)."""
@@ -119,6 +117,14 @@ class KernelSpec:
         np.negative(d, out=d)
         np.exp(d, out=d)
         d *= self.sigma_k2
+
+
+def _as_float(value, name):
+    """float(value); ValueError for an int too large for a float, which a range check accepts."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def _lattice_offsets(U1, U2, size):
@@ -288,9 +294,9 @@ class GramMatrix:
         return E @ self.chol.T
 
 
-def _cholesky_with_jitter(make_K, scale, initial_jitter=0.0):
-    """Factor make_K() in place, escalating diagonal jitter from
-    1e-10*scale to 1e-4*scale.
+def _cholesky_with_jitter(make_K, scale):
+    """Factor make_K() in place: with no jitter first, then escalating
+    diagonal jitter from 1e-10*scale to 1e-4*scale.
 
     ``make_K`` returns a new, exactly symmetric, C-ordered matrix on each
     call. LAPACK ``dpotrf`` factors its transpose, which equals it and is
@@ -298,17 +304,13 @@ def _cholesky_with_jitter(make_K, scale, initial_jitter=0.0):
     matrix's own memory. A failed attempt has overwritten its matrix, and
     ``clean`` has zeroed the untouched triangle, so the next attempt asks
     for a new one after dropping it: one N x N array at a time.
-
-    The initial jitter is tried first, then only the escalation steps above
-    it: a smaller jitter cannot succeed where a larger one failed.
     """
     from scipy.linalg.lapack import dpotrf
 
-    jitters = [initial_jitter]
+    jitters = [0.0]
     j = _JITTER_START * scale
     while j <= _JITTER_MAX * scale * (1 + 1e-9):
-        if j > initial_jitter * (1 + 1e-9):
-            jitters.append(j)
+        jitters.append(j)
         j *= 10.0
     for jit in jitters:
         K = make_K()
@@ -371,7 +373,7 @@ def build_gram(grid, kernel):
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
     # kernel(grid, grid) is exactly symmetric: each entry squares a difference
     # and its exact negation
-    return GramMatrix(*_cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2, kernel.jitter))
+    return GramMatrix(*_cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,6 +395,7 @@ class PriorSpec:
     def __post_init__(self):
         if self.P < 2:
             raise ValueError("need at least 2 parts")
+        object.__setattr__(self, "sigma_a2", _as_float(self.sigma_a2, "sigma_a2"))
         if not 0 < self.sigma_a2 < np.inf:
             raise ValueError("sigma_a2 must be positive and finite")
         if self.mean is not None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError
-from .prior import GramMatrix, PriorSpec, prior_quadratic, sample_latent_field
+from .prior import GramMatrix, PriorSpec, _as_float, prior_quadratic, sample_latent_field
 
 INIT_MODES = ("prior-draw", "uniform-image")
 
@@ -72,6 +72,7 @@ class Observations:
         if X.ndim != 2 or not np.all(np.isfinite(X)):
             raise ValueError("observations must be a finite 2-D array")
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "sigma2", _as_float(self.sigma2, "sigma2"))
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive (use inf for prior-only)")
 
@@ -219,6 +220,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "step_size", _as_float(self.step_size, "step_size"))
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.n_steps < 1:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .prior import _as_float
 
 ESTIMATORS = ("barycentric-histogram", "latent-kde")
 
@@ -166,12 +167,10 @@ class BarycentricGrid:
         return np.where(down, self.n_up + dn_idx, up_idx)
 
     def cell_vertices(self, cell):
-        """Barycentric vertices (3, P) of one cell (P=3) or interval endpoints (P=2)."""
+        """Barycentric vertices (3, 3) of one cell of a P = 3 grid."""
+        if self.P != 3:
+            raise ValueError("cell vertices exist for P = 3 only")
         B = self.bins
-        if self.P == 2:
-            lo = cell / B
-            hi = (cell + 1) / B
-            return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
         if cell < self.n_up:
             flat = self._up_flat[cell]
             i, j = divmod(flat, B)
@@ -241,8 +240,8 @@ class HdrResult:
     region_cells: np.ndarray
     n_components: int
     coverage: float
-    grid: object = None
-    _density_fn: object = None
+    grid: object
+    _density_fn: object
 
     def density(self, points):
         """Estimated density at new compositions."""
@@ -254,27 +253,14 @@ class HdrResult:
         return self.density(points) >= self.threshold
 
 
-def _hdr_histogram(samples, alpha, bins):
+def _hdr_histogram(samples, bins):
+    """The histogram's half of `hdr`: density function, densities of the
+    samples (from the counting pass) and cells, component counter, grid."""
     M, P = samples.shape
     grid = BarycentricGrid(P, bins)
     counts, cells = grid.counts(samples)
     dens_cells = counts / (M * grid.cell_measure)
-    dens = dens_cells[cells]
-    k = int(np.floor(alpha * M))
-    threshold = np.sort(dens)[max(k - 1, 0)]
-    active = dens_cells >= threshold
-    region = np.flatnonzero(active)
-    return HdrResult(
-        alpha=alpha,
-        estimator="barycentric-histogram",
-        density_at_samples=dens,
-        threshold=float(threshold),
-        region_cells=region,
-        n_components=grid.n_components(active),
-        coverage=float(np.mean(dens >= threshold)),
-        grid=grid,
-        _density_fn=lambda pts: dens_cells[grid.cell_of(pts)],
-    )
+    return lambda pts: dens_cells[grid.cell_of(pts)], dens_cells[cells], dens_cells, grid.n_components, grid
 
 
 # KDE fit-set cap and per-dimension evaluation-grid sizes: keep the cost of
@@ -283,7 +269,9 @@ _KDE_MAX_FIT = 4000
 _KDE_GRID = {1: 512, 2: 64, 3: 24}
 
 
-def _hdr_latent_kde(samples, alpha, bandwidth):
+def _hdr_latent_kde(samples, bandwidth):
+    """The KDE's half of `hdr`, as `_hdr_histogram`'s: its cells are the
+    points of a latent evaluation grid, and it has no barycentric grid."""
     # imported here: only this estimator needs scipy.stats and scipy.ndimage,
     # and a run that does not use it should not pay for their import
     from scipy import ndimage
@@ -309,33 +297,15 @@ def _hdr_latent_kde(samples, alpha, bandwidth):
         log_jac = np.sum(np.log(pts), axis=-1) + 0.5 * np.log(P)
         return kde(zp.T) / np.exp(log_jac)
 
-    dens = density(samples)
-    k = int(np.floor(alpha * M))
-    threshold = np.sort(dens)[max(k - 1, 0)]
-
-    # component counting on a latent evaluation grid mapped back to the simplex
     grid_size = _KDE_GRID[P - 1]
-    lo = z.min(axis=0) - 1.0
-    hi = z.max(axis=0) + 1.0
-    axes = [np.linspace(lo[d], hi[d], grid_size) for d in range(P - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    lo, hi = z.min(axis=0) - 1.0, z.max(axis=0) + 1.0
+    mesh = np.meshgrid(*[np.linspace(lo[d], hi[d], grid_size) for d in range(P - 1)], indexing="ij")
     zg = np.stack([m.ravel() for m in mesh], axis=1)
-    ag = geometry.ilr_inv(zg)
-    dg = density(ag)
-    mask = (dg >= threshold).reshape([grid_size] * (P - 1))
-    _, n_comp = ndimage.label(mask)
-    region = np.flatnonzero(mask.ravel())
-    return HdrResult(
-        alpha=alpha,
-        estimator="latent-kde",
-        density_at_samples=dens,
-        threshold=float(threshold),
-        region_cells=region,
-        n_components=int(n_comp),
-        coverage=float(np.mean(dens >= threshold)),
-        grid=None,
-        _density_fn=density,
-    )
+
+    def n_components(active):
+        return int(ndimage.label(active.reshape([grid_size] * (P - 1)))[1])
+
+    return density, density(samples), density(geometry.ilr_inv(zg)), n_components, None
 
 
 def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
@@ -353,7 +323,7 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
     bins : int
         Bins per edge for the histogram estimator.
     bandwidth : float, optional
-        KDE bandwidth (Scott's rule when omitted).
+        KDE bandwidth, positive and finite (Scott's rule when omitted).
     """
     samples = _as_samples(samples)
     M, P = samples.shape
@@ -361,6 +331,8 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
         raise ValueError("alpha must be in (0, 1)")
     if M < 1.0 / alpha:
         raise ValueError(f"need at least {int(np.ceil(1.0 / alpha))} samples for alpha={alpha}")
+    if bandwidth is not None and not 0 < _as_float(bandwidth, "bandwidth") < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     if estimator is None:
         estimator = "barycentric-histogram" if P <= 3 else "latent-kde"
     if estimator not in ESTIMATORS:
@@ -368,8 +340,23 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
     if P > 4:
         raise ValueError("HDR region estimation is limited to P <= 4")
     if estimator == "barycentric-histogram":
-        return _hdr_histogram(samples, alpha, bins)
-    return _hdr_latent_kde(samples, alpha, bandwidth)
+        density, dens, dens_cells, n_components, grid = _hdr_histogram(samples, bins)
+    else:
+        density, dens, dens_cells, n_components, grid = _hdr_latent_kde(samples, bandwidth)
+    k = int(np.floor(alpha * M))
+    threshold = np.sort(dens)[max(k - 1, 0)]
+    active = dens_cells >= threshold
+    return HdrResult(
+        alpha=alpha,
+        estimator=estimator,
+        density_at_samples=dens,
+        threshold=float(threshold),
+        region_cells=np.flatnonzero(active),
+        n_components=n_components(active),
+        coverage=float(np.mean(dens >= threshold)),
+        grid=grid,
+        _density_fn=density,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -101,18 +102,68 @@ def test_projected_ula_algorithm_switch(tmp_path):
     assert meta["algorithm"] == "projected-ula"
 
 
-def test_single_pixel_uq_exports_hdr(tmp_path):
+@pytest.mark.parametrize("estimator", ["barycentric-histogram", "latent-kde"])
+def test_single_pixel_uq_exports_hdr(tmp_path, estimator):
     rng = np.random.default_rng(1)
     samples = rng.dirichlet(np.ones(3) * 5.0, size=(200,))[:, :, None]
     sio.write_abundance_stack(tmp_path / "pixel.stack", samples, width=1, height=1)
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, paths={"stack": str(tmp_path / "pixel.stack"),
-                                  "output_dir": str(tmp_path)})
+                                  "output_dir": str(tmp_path)}, uq={"estimator": estimator})
     assert main(["uq", "--config", str(cfg_path)]) == 0
     meta = json.loads((tmp_path / "uq_summary.json").read_text())
     assert meta["hdr"]["n_components"] >= 1
+    assert meta["hdr"]["estimator"] == estimator
     assert (tmp_path / "pixel_samples.csv").exists()
     assert (tmp_path / "pixel.svg").exists()
+    # only the histogram has cells to draw
+    assert (tmp_path / "pixel_hdr_cells.csv").exists() == (estimator == "barycentric-histogram")
+
+
+@pytest.mark.parametrize("bandwidth", [-0.3, 0.0])
+def test_kde_bandwidth_must_be_positive(tmp_path, capsys, bandwidth):
+    # -0.3 used to exit 0 with a different threshold, and 0 to exit 2 with
+    # numpy's LinAlgError
+    samples = np.random.default_rng(1).dirichlet(np.full(3, 5.0), size=200)[:, :, None]
+    sio.write_abundance_stack(tmp_path / "pixel.stack", samples, width=1, height=1)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, paths={"stack": str(tmp_path / "pixel.stack"), "output_dir": str(tmp_path / "out")},
+                 uq={"estimator": "latent-kde", "bandwidth": bandwidth})
+    assert main(["--error-json", "uq", "--config", str(cfg_path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["exit_code"] == 1
+    assert payload["message"] == "bandwidth must be positive and finite"
+    assert not (tmp_path / "out" / "uq_summary.json").exists()
+
+
+def test_sample_prior_of_no_samples_writes_no_stack(tmp_path, capsys):
+    # a stack of zero frames would be refused by read_abundance_stack
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, paths={"output_dir": str(tmp_path)})
+    assert main(["--error-json", "sample-prior", "--config", str(cfg_path), "--n-samples", "0"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["message"] == "n_frames must be at least 1, got 0"
+    assert not (tmp_path / "prior_samples.stack").exists()
+
+
+def test_noise_variance_must_be_nonnegative(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    doc = write_config(cfg_path, paths={"output_dir": str(tmp_path)})
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    doc["paths"]["cube"] = str(tmp_path / "observations.cube")
+    for command, sigma2, code in (("synth", -1.0, 1), ("unmix", -1.0, 1), ("synth", 0.0, 0), ("unmix", 0.0, 1)):
+        doc["paths"]["output_dir"] = str(tmp_path / f"{command}_{sigma2}")
+        doc["noise"] = {"sigma2": sigma2}
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--error-json", command, "--config", str(cfg_path)]) == code, (command, sigma2)
+        err = capsys.readouterr().err
+        if sigma2 < 0:
+            assert json.loads(err.strip().splitlines()[-1])["message"] == "noise.sigma2 must be nonnegative"
+            assert not os.path.exists(doc["paths"]["output_dir"])
+    # zero is noiseless for synth; unmix needs a positive variance
+    meta = json.loads((tmp_path / "synth_0.0" / "synth.json").read_text())
+    assert meta["sigma2"] == 0.0
+    assert "sigma2 must be positive" in err
 
 
 def test_sample_prior_and_interpolate(tmp_path):

@@ -103,6 +103,22 @@ def test_stack_single_frame_convenience(tmp_path):
     assert np.array_equal(back[0], A)
 
 
+@pytest.mark.parametrize(
+    "write, shape, width, height, key",
+    [
+        (sio.write_abundance_stack, (0, 3, 4), 2, 2, "n_frames"),
+        (sio.write_abundance_stack, (2, 0, 4), 2, 2, "n_parts"),
+        (sio.write_abundance_stack, (1, 3, 0), 0, 1, "width"),
+        (sio.write_abundance_stack, (1, 3, 0), 1, 0, "height"),
+        (sio.write_cube, (0, 4), 2, 2, "n_bands"),
+    ],
+)
+def test_container_writers_reject_what_the_reader_rejects(tmp_path, write, shape, width, height, key):
+    with pytest.raises(ValueError, match=f"{key} must be at least 1, got 0"):
+        write(tmp_path / "empty", np.zeros(shape), width, height)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_header(path, header, payload_bytes):
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"\0" * payload_bytes)
 
@@ -412,7 +428,7 @@ def test_prior_spec_config_round_trip():
         "n_parts": 4,
         "prior": {
             "sigma_a2": 0.7,
-            "kernel": {"kind": "exponential", "length_scale": 5.0, "sigma_k2": 1.2, "jitter": 0.0},
+            "kernel": {"kind": "exponential", "length_scale": 5.0, "sigma_k2": 1.2},
             "mean": [0.1, -0.2, 0.3],
         },
         "sampler": {"step_size": 0.1, "n_steps": 10, "seed": 0},
@@ -422,6 +438,9 @@ def test_prior_spec_config_round_trip():
     assert spec.sigma_a2 == 0.7
     assert spec.kernel == KernelSpec(kind="exponential", length_scale=5.0, sigma_k2=1.2)
     assert np.array_equal(spec.mean, [0.1, -0.2, 0.3])
+    doc["prior"]["kernel"]["jitter"] = 0.0
+    with pytest.raises(ConfigError, match="unknown key 'jitter' in prior.kernel"):
+        sio.validate_config(doc)
 
 
 def test_config_schema_keys_are_the_dataclass_fields():
@@ -518,19 +537,21 @@ def test_ternary_export_files(tmp_path):
 
 
 def test_ternary_p4_and_limits(tmp_path):
-    from simplexuq.uq import euclidean_mean, geodesic_mean
+    from simplexuq.uq import euclidean_mean, geodesic_mean, hdr
 
     rng = np.random.default_rng(7)
     samples = rng.dirichlet(np.ones(4), size=50)
+    region = hdr(samples, 0.2)  # the latent KDE: no cells to draw
     prefix = str(tmp_path / "tetra")
-    sio.export_ternary(prefix, samples, geodesic_mean(samples), euclidean_mean(samples))
+    sio.export_ternary(prefix, samples, geodesic_mean(samples), euclidean_mean(samples), region)
     assert (tmp_path / "tetra_samples.csv").read_text().startswith("x,y,z\n")
     xyz = np.loadtxt(prefix + "_samples.csv", delimiter=",", skiprows=1)
     assert xyz.shape == (50, 3)
+    assert not (tmp_path / "tetra_hdr_cells.csv").exists()
     assert not (tmp_path / "tetra.svg").exists()  # the svg is drawn for P = 3 only
     five = rng.dirichlet(np.ones(5), size=5)
     with pytest.raises(ValueError):
-        sio.export_ternary(str(tmp_path / "x"), five, geodesic_mean(five), euclidean_mean(five))
+        sio.export_ternary(str(tmp_path / "x"), five, geodesic_mean(five), euclidean_mean(five), region)
     with pytest.raises(ValueError):
         sio.simplex_corners(6)
 

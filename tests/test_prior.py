@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 from simplexuq import geometry
 from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
+from simplexuq.interp import PartialObservation
 from simplexuq.prior import (
     _SYMV_MIN_PIXELS,
     GramMatrix,
@@ -26,6 +27,7 @@ from simplexuq.prior import (
     prior_quadratic,
     sample_latent_field,
 )
+from simplexuq.sampler import Observations, SamplerConfig
 
 
 def simplex_quadrature_nodes(bins):
@@ -379,26 +381,6 @@ def test_cholesky_jitter_escalation_and_failure():
         _cholesky_with_jitter(bad.copy, scale=1.0)
 
 
-def test_cholesky_jitter_ladder_starts_above_initial_jitter(monkeypatch):
-    # Eigenvalue -5e-7: an initial jitter of 1e-7 fails, and so would every
-    # escalation step at or below it; only 1e-6 can succeed.
-    Q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((3, 3)))
-    K = Q @ np.diag([1.0, 0.5, -5e-7]) @ Q.T
-    K = 0.5 * (K + K.T)
-    _, jit_from_zero = _cholesky_with_jitter(K.copy, scale=1.0)
-    calls = []
-    dpotrf = lapack.dpotrf
-
-    def counting(a, **kwargs):
-        calls.append(a)
-        return dpotrf(a, **kwargs)
-
-    monkeypatch.setattr(lapack, "dpotrf", counting)
-    _, jit = _cholesky_with_jitter(K.copy, scale=1.0, initial_jitter=1e-7)
-    assert len(calls) == 2
-    assert jit == jit_from_zero
-
-
 def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch):
     # The jitter goes on the diagonal of the matrix itself; every matrix
     # handed to the factorization, and the factor build_gram keeps, must be
@@ -418,15 +400,15 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
         return dpotrf(K, lower=1, clean=1)[0]
 
     monkeypatch.setattr(lapack, "dpotrf", recording)
-    for K, initial in ((indefinite, 0.0), (indefinite, 1e-7)):
-        calls.clear()
-        L, jit = _cholesky_with_jitter(K.copy, 1.0, initial)
-        assert jit > 0 and len(calls) >= 2
-        assert np.array_equal(calls[-1], K + jit * np.eye(len(K)))
-        assert np.array_equal(L, factor(K + jit * np.eye(len(K))))
-    for kernel, want_jitter in (
-        (KernelSpec(length_scale=3.0), 0.0),
-        (KernelSpec(length_scale=3.0, jitter=1e-3), 1e-3),
+    L, jit = _cholesky_with_jitter(indefinite.copy, 1.0)
+    assert jit > 0 and len(calls) >= 2
+    assert np.array_equal(calls[-1], indefinite + jit * np.eye(len(indefinite)))
+    assert np.array_equal(L, factor(indefinite + jit * np.eye(len(indefinite))))
+    # A length scale of 1e15 makes the kernel matrix numerically all ones,
+    # which only the first rung of the ladder, 1e-10 * sigma_k2, rescues.
+    for kernel, want_jitter, attempts in (
+        (KernelSpec(length_scale=3.0), 0.0, 1),
+        (KernelSpec(length_scale=1e15), 1e-10, 2),
     ):
         calls.clear()
         gram = build_gram(grid, kernel)
@@ -434,7 +416,7 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
         if want_jitter > 0:
             K = K + want_jitter * np.eye(len(grid))
         assert gram.applied_jitter == want_jitter
-        assert len(calls) == 1 and np.array_equal(calls[0], K)
+        assert len(calls) == attempts and np.array_equal(calls[-1], K)
         assert np.array_equal(gram.chol, factor(K))
 
 
@@ -448,11 +430,15 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
     call = KernelSpec.__call__
 
     def recording(self, U1, U2):
-        kernels.append(call(self, U1, U2))
-        return kernels[-1]
+        # the address only: holding a failed attempt's matrix would add it
+        # to the peak
+        K = call(self, U1, U2)
+        kernels.append(K.ctypes.data)
+        return K
 
     monkeypatch.setattr(KernelSpec, "__call__", recording)
-    for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=5.0, jitter=1e-6)):
+    # The second kernel fails once without jitter, and succeeds with 1e-10.
+    for kernel, attempts in ((KernelSpec(length_scale=5.0), 1), (KernelSpec(length_scale=1e15), 2)):
         kernels.clear()
         tracemalloc.start()
         try:
@@ -460,7 +446,7 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(kernels) == 1 and np.shares_memory(gram.chol, kernels[0])
+        assert len(kernels) == attempts and gram.chol.ctypes.data == kernels[-1]
         assert peak <= 1.2 * nbytes
         del gram
     # Eigenvalue -5e-7 at the grid's size: five attempts fail before 1e-6.
@@ -522,7 +508,8 @@ def test_gram_peak_memory_is_three_matrices():
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
-    for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=5.0, jitter=1e-6)):
+    # the second kernel needs one failed attempt before its 1e-10 jitter
+    for kernel in (KernelSpec(length_scale=5.0), KernelSpec(length_scale=1e15)):
         tracemalloc.start()
         try:
             gram = build_gram(grid, kernel)
@@ -542,15 +529,34 @@ def test_kernel_spec_validation():
         KernelSpec(kind="gaussian")
     with pytest.raises(ValueError):
         KernelSpec(length_scale=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(jitter=-1.0)
     # Non-finite hyperparameters: with sigma_k2=inf the jitter escalation
-    # never ends, length_scale=inf gives a constant kernel and jitter=nan
-    # would be recorded as the applied jitter.
+    # never ends and length_scale=inf gives a constant kernel.
     for bad in (np.inf, -np.inf, np.nan):
-        for name in ("length_scale", "sigma_k2", "jitter"):
+        for name in ("length_scale", "sigma_k2"):
             with pytest.raises(ValueError, match=name):
                 KernelSpec(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda x: PriorSpec(P=3, sigma_a2=x), "sigma_a2"),
+        (lambda x: KernelSpec(sigma_k2=x), "sigma_k2"),
+        (lambda x: KernelSpec(length_scale=x), "length_scale"),
+        (lambda x: PartialObservation(np.array([0]), np.full((3, 1), 1.0 / 3.0), nugget=x), "nugget"),
+        (lambda x: SamplerConfig(step_size=x, n_steps=10), "step_size"),
+        (lambda x: Observations(np.ones((4, 1)), x), "sigma2"),
+    ],
+    ids=["sigma_a2", "sigma_k2", "length_scale", "nugget", "step_size", "sigma2"],
+)
+def test_hyperparameters_are_stored_as_floats(make, name):
+    # An int too large for a float passes a chained range check, and then
+    # fails later with TypeError or OverflowError; one that fits is stored
+    # as the float the computations use.
+    with pytest.raises(ValueError, match=f"{name} is too large for a float"):
+        make(10**400)
+    value = getattr(make(2), name)
+    assert type(value) is float and value == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from simplexuq import geometry, uq
 from simplexuq.prior import PriorSpec, pixel_prior_sample
 from simplexuq.uq import (
+    ESTIMATORS,
     BarycentricGrid,
     euclidean_mean,
     geodesic_mean,
@@ -166,6 +167,8 @@ def test_grid_vertices_on_simplex():
         assert v.shape == (3, 3)
         assert np.allclose(v.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(v >= -1e-12)
+    with pytest.raises(ValueError, match="P = 3 only"):
+        BarycentricGrid(2, 5).cell_vertices(0)
 
 
 def test_grid_component_counting():
@@ -278,6 +281,17 @@ def test_hdr_validation():
         hdr(samples, 0.1, estimator="spline")
     with pytest.raises(ValueError):
         hdr(dirichlet_samples(17, 100, 5), 0.1)  # P > 4
+
+
+@pytest.mark.parametrize("bandwidth", [-0.3, 0.0, 0, np.inf, np.nan, pytest.param(10**400, id="10**400")])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_hdr_bandwidth_must_be_positive_and_finite(estimator, bandwidth):
+    # A negative bandwidth used to give a negative threshold, and zero a
+    # LinAlgError from the KDE.
+    samples = dirichlet_samples(19, 200, 3)
+    with pytest.raises(ValueError, match="bandwidth"):
+        hdr(samples, 0.1, estimator=estimator, bandwidth=bandwidth)
+    assert hdr(samples, 0.1, estimator=estimator, bandwidth=0.3).threshold > 0
 
 
 # ---------------------------------------------------------------------------
