@@ -28,14 +28,12 @@ class DivergenceError(RuntimeError):
         Index of the update at which the energy became non-finite.
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        if message is None:
-            message = (
-                f"non-finite energy at step {step}; the chain has diverged. "
-                "Try a smaller step_size."
-            )
-        super().__init__(message)
+        super().__init__(
+            f"non-finite energy at step {step}; the chain has diverged. "
+            "Try a smaller step_size."
+        )
 
 
 class IllConditionedKernelError(RuntimeError):

@@ -3,11 +3,13 @@
 Binary containers have a single-line JSON header (sorted keys, UTF-8,
 newline-terminated) followed by a raw little-endian payload; writes are
 atomic (temp file + rename) and byte-reproducible, so identical runs
-produce identical files. A container whose payload holds NaN or infinity
-(after the cast to its dtype) is rejected on write and on read, and every
-JSON written is strict (no NaN or infinity). Abundance stacks are
-validated on read: pixel vectors must sum to 1 within 1e-6, beyond which
-they are renormalized with a warning.
+produce identical files. Cubes are written as float32 and abundance
+stacks as float64; the readers accept either dtype for either kind. A
+container whose payload holds NaN or infinity (after the cast to its
+dtype) is rejected on write and on read, and every JSON written is strict
+(no NaN or infinity). Abundance stacks are validated on read: pixel
+vectors must sum to 1 within 1e-6, beyond which they are renormalized
+with a warning.
 """
 
 import csv
@@ -69,21 +71,33 @@ def _read_header(fh):
 # ---------------------------------------------------------------------------
 
 
+def _check_header(header, count_keys):
+    """The header rule of every container, applied by `_write_container`
+    to what it writes and by `_read_container` to what it reads."""
+    for key in ("band_order", "dtype", "height", "width", *count_keys):
+        if key not in header:
+            raise ValueError(f"header missing key {key!r}")
+    for key in (*count_keys, "width", "height"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValueError(f"header key {key!r} must be a positive integer, got {header[key]!r}")
+    if header["dtype"] not in _DTYPES:
+        raise ValueError(f"unsupported dtype {header['dtype']!r}")
+    if header["band_order"] != "band-major":
+        raise ValueError(f"unsupported band_order {header['band_order']!r}")
+
+
 def _write_container(path, arr, width, height, dtype, count_keys):
     """Write an array whose last axis is the pixel axis; its leading axes
-    are recorded in the header under ``count_keys``. Every count, the
-    width and the height must be at least 1, as `_read_container` requires."""
+    are recorded in the header under ``count_keys``. The header must pass
+    `_check_header`, as `_read_container` requires; nothing is written
+    otherwise."""
     arr = np.asarray(arr)
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
     *counts, N = arr.shape
-    sizes = {**dict(zip(count_keys, counts, strict=True)), "width": width, "height": height}
-    for key, n in sizes.items():
-        if n < 1:
-            raise ValueError(f"{key} must be at least 1, got {n}")
+    header = {"band_order": "band-major", "dtype": dtype, "width": width, "height": height}
+    header.update(zip(count_keys, counts, strict=True))
+    _check_header(header, count_keys)
     if N != width * height:
         raise ValueError(f"{N} pixels but width*height = {width * height}")
-    header = {"band_order": "band-major", "dtype": dtype, **sizes}
     # A value beyond the dtype's range casts to infinity; the check below
     # reports it, so numpy's overflow warning is redundant.
     with np.errstate(over="ignore"):
@@ -94,22 +108,15 @@ def _write_container(path, arr, width, height, dtype, count_keys):
 
 
 def _read_container(path, count_keys):
-    """Read a container written by `_write_container`; returns (float64
-    array of shape (*counts, width*height), header).
+    """Read a container of either dtype; returns (float64 array of shape
+    (*counts, width*height), header).
 
     The payload is read straight into its array: a float64 payload is
     never copied, a float32 one once, by the cast.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        for key in ("band_order", "dtype", "height", "width", *count_keys):
-            if key not in header:
-                raise ValueError(f"header missing key {key!r}")
-        for key in (*count_keys, "width", "height"):
-            if type(header[key]) is not int or header[key] < 1:
-                raise ValueError(f"header key {key!r} must be a positive integer, got {header[key]!r}")
-        if header["dtype"] not in _DTYPES:
-            raise ValueError(f"unsupported dtype {header['dtype']!r}")
+        _check_header(header, count_keys)
         dt = np.dtype(_DTYPES[header["dtype"]])
         shape = (*(header[key] for key in count_keys), header["width"] * header["height"])
         expected = math.prod(shape) * dt.itemsize
@@ -128,9 +135,9 @@ def _read_container(path, count_keys):
     return arr, header
 
 
-def write_cube(path, X, width, height, dtype="float32"):
-    """Write an (L, N) spectral cube; pixels are row-major, bands major order."""
-    _write_container(path, X, width, height, dtype, ("n_bands",))
+def write_cube(path, X, width, height):
+    """Write an (L, N) spectral cube as float32; pixels row-major, bands major."""
+    _write_container(path, X, width, height, "float32", ("n_bands",))
 
 
 def read_cube(path):
@@ -143,12 +150,12 @@ SUM_TOL_READ = 1e-6
 _SUM_BLOCK_DOUBLES = 1 << 15
 
 
-def write_abundance_stack(path, stack, width, height, dtype="float64"):
-    """Write abundance images, shape (M, P, N) or (P, N) for a single frame."""
+def write_abundance_stack(path, stack, width, height):
+    """Write float64 abundance images, shape (M, P, N) or (P, N) for one frame."""
     stack = np.asarray(stack)
     if stack.ndim == 2:
         stack = stack[None]
-    _write_container(path, stack, width, height, dtype, ("n_frames", "n_parts"))
+    _write_container(path, stack, width, height, "float64", ("n_frames", "n_parts"))
 
 
 def read_abundance_stack(path):
@@ -216,11 +223,8 @@ def load_endmembers(path):
     return S, names
 
 
-def write_endmembers(path, S, names=None):
-    S = np.asarray(S)
-    if names is None:
-        names = [f"material_{k + 1}" for k in range(S.shape[1])]
-    _write_csv(path, names, S)
+def write_endmembers(path, S, names):
+    _write_csv(path, names, np.asarray(S))
 
 
 def load_mask(path):
@@ -533,10 +537,10 @@ def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr):
         _write_ternary_svg(f"{prefix}.svg", xy, mean_rows, mean_names, hdr_polys)
 
 
-def _svg_pt(v, scale=480.0, pad=40.0):
-    # flip y: svg origin is top-left
-    x = pad + v[0] * scale
-    y = pad + (np.sqrt(3.0) / 2.0 - v[1]) * scale
+def _svg_pt(v):
+    # 480 px to the unit edge, a 40 px margin; flip y: svg origin is top-left
+    x = 40.0 + v[0] * 480.0
+    y = 40.0 + (np.sqrt(3.0) / 2.0 - v[1]) * 480.0
     return f"{x:.2f},{y:.2f}"
 
 

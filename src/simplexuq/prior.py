@@ -225,10 +225,6 @@ class GramMatrix:
             raise ValueError("Cholesky factor must be lower triangular")
         object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
-        if chol.ndim == 2:
-            # Load LAPACK here, in set-up, so that the first solve, inside a
-            # timed chain, does not pay for the import.
-            import scipy.linalg  # noqa: F401
 
     @cached_property
     def _precision(self):
@@ -402,6 +398,8 @@ class PriorSpec:
             m = np.asarray(self.mean, dtype=float)
             if m.shape != (self.P - 1,):
                 raise ValueError(f"mean shape {m.shape} inconsistent with P={self.P}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("mean must be finite")
             object.__setattr__(self, "mean", m)
 
     @property

@@ -221,8 +221,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "step_size", _as_float(self.step_size, "step_size"))
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.burn_in is None:

@@ -54,14 +54,13 @@ def _sum0(total, x):
     return np.add.reduce(x, axis=0)
 
 
-def _moments(samples, geodesic=True):
-    """Moments over axis 0 of (M, ..., P) compositions.
+def _moments(samples):
+    """Moments over axis 0 of (M, ..., P) compositions, for
+    `summarize_image`.
 
     Returns the Euclidean mean (..., P), the geodesic mean (..., P), the
     Euclidean and geodesic total variances (...) and the ilr variances
     (..., P-1). Variances use ddof=1 and are zero for a single sample.
-    With ``geodesic=False`` the three geodesic entries are None and no
-    logarithm is taken, so compositions on the boundary are allowed.
 
     A stack whose samples hold two or more compositions each (images) is
     read a block of at most ``_MOMENT_BLOCK_DOUBLES`` entries at a time,
@@ -92,22 +91,19 @@ def _moments(samples, geodesic=True):
         return mean, total / (M - 1)
 
     eu_mean, eu_var = mean_and_var(lambda x: x)
-    eu_var = eu_var.sum(axis=-1)
-    if not geodesic:
-        return eu_mean, None, eu_var, None, None
     z_mean, ilr_var = mean_and_var(geometry.ilr)
-    return eu_mean, geometry.ilr_inv(z_mean), eu_var, ilr_var.sum(axis=-1), ilr_var
+    return eu_mean, geometry.ilr_inv(z_mean), eu_var.sum(axis=-1), ilr_var.sum(axis=-1), ilr_var
 
 
 def euclidean_mean(samples):
     """Componentwise average; stays on the simplex by convexity."""
-    return _moments(_as_samples(samples, interior=False), geodesic=False)[0]
+    return np.mean(_as_samples(samples, interior=False), axis=0)
 
 
 def geodesic_mean(samples):
     """Softmax of the latent average: the minimum squared geodesic
     distance estimator, always strictly interior."""
-    return _moments(_as_samples(samples))[1]
+    return geometry.ilr_inv(np.mean(geometry.ilr(_as_samples(samples)), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_sample_prior_of_no_samples_writes_no_stack(tmp_path, capsys):
     write_config(cfg_path, paths={"output_dir": str(tmp_path)})
     assert main(["--error-json", "sample-prior", "--config", str(cfg_path), "--n-samples", "0"]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["message"] == "n_frames must be at least 1, got 0"
+    assert payload["message"] == "header key 'n_frames' must be a positive integer, got 0"
     assert not (tmp_path / "prior_samples.stack").exists()
 
 

@@ -157,6 +157,11 @@ def test_prior_spec_validation():
     # can synthesise from, draw from or evaluate
     with pytest.raises(ValueError, match="sigma_a2"):
         PriorSpec(P=3, sigma_a2=np.inf)
+    # a non-finite mean is an input mistake, not a divergent chain, which
+    # is what the sampler would report at its first step
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            PriorSpec(P=3, sigma_a2=1.0, mean=[bad, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,9 @@ def test_list_init_matches_array_init():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(step_size=0.0, n_steps=10)
+    # an infinite step would make the chain diverge at its first update
+    with pytest.raises(ValueError, match="step_size must be positive and finite"):
+        SamplerConfig(step_size=np.inf, n_steps=10)
     with pytest.raises(ValueError):
         SamplerConfig(step_size=0.1, n_steps=10, burn_in=10)
     with pytest.raises(ValueError):
