@@ -66,7 +66,9 @@ class PartialObservation:
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"observed indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(int, copy=False)
-        if len(np.unique(idx)) != len(idx):
+        # sorted, then neighbours compared: np.unique would import numpy.ma
+        s = np.sort(idx)
+        if np.any(s[1:] == s[:-1]):
             raise ValueError("observed indices must be unique")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != idx.size:
@@ -110,9 +112,7 @@ def interpolate(obs, spec, grid):
             f"observed compositions have {obs.values.shape[0]} parts, prior has {spec.P}"
         )
 
-    from scipy.linalg import cho_factor, cho_solve
-    from scipy.linalg.blas import dtrmm
-    from scipy.linalg.lapack import dtrtri
+    from ._lapack import dpotrf, dpotrs, dtrmm, dtrtri
 
     U_obs = grid[obs.indices]
     # latent covariance = sigma_a2 * spatial kernel (kernel carries sigma_k2),
@@ -124,22 +124,26 @@ def interpolate(obs, spec, grid):
     C_oo.reshape(-1)[:: K + 1] += obs.nugget
     c_ss = spec.sigma_a2 * spec.kernel.sigma_k2
 
-    try:
-        # C_oo is exactly symmetric, so its transpose, F-ordered as LAPACK
-        # reads it, is factored in place: no K x K copy
-        F = cho_factor(C_oo.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError:
+    # C_oo is exactly symmetric, so its transpose, F-ordered as LAPACK
+    # reads it, is factored in place: no K x K copy. These are the calls
+    # scipy.linalg's cho_factor and cho_solve make, with their checks.
+    L, info = dpotrf(np.asarray_chkfinite(C_oo).T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         raise IllConditionedKernelError(
             "observed-block covariance is singular; add a nugget or drop "
             "near-duplicate observation pixels"
-        ) from None
+        )
+    if info < 0:
+        raise ValueError(f"LAPACK dpotrf reported an illegal value in argument {-info}")
 
     mu = spec.latent_mean
     Z_obs = geometry.ilr(obs.values.T, spec.H) - mu  # (K, P-1), centered
-    alpha = cho_solve(F, Z_obs)
-    # The factor is inverted in place (cho_solve is done with it, and its
+    alpha, info = dpotrs(L, Z_obs, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK dpotrs reported an illegal value in argument {-info}")
+    # The factor is inverted in place (dpotrs is done with it, and its
     # diagonal is positive, so dtrtri cannot fail).
-    L_inv, _ = dtrtri(F[0], lower=1, overwrite_c=1)
+    L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
 
     mean = np.empty((N, len(mu)))
     var = np.empty(N)

@@ -196,6 +196,21 @@ def _write_csv(path, header, rows, labels=None):
     _atomic_write_text(path, buf.getvalue())
 
 
+def _check_endmembers(S, names):
+    """The endmember rule, applied by `write_endmembers` to what it writes
+    and by `load_endmembers` to what it reads: at least 2 names, and a
+    finite (L, P) matrix with a column per name and at least one band."""
+    P = len(names)
+    if P < 2:
+        raise ValueError(f"need at least 2 endmember columns, found {P}")
+    if S.ndim != 2 or S.shape[1] != P:
+        raise ValueError(f"endmember matrix of shape {S.shape} for {P} names")
+    if len(S) < 1:
+        raise ValueError("endmember matrix needs at least one band row")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("endmember matrix contains non-finite values")
+
+
 def load_endmembers(path):
     """Load an endmember matrix from CSV (header row of names, L rows, P columns).
 
@@ -203,28 +218,46 @@ def load_endmembers(path):
     """
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
-    if len(rows) < 2:
+    if not rows:
         raise ValueError("endmember CSV needs a header row and at least one band row")
     names = [c.strip() for c in rows[0]]
-    P = len(names)
-    if P < 2:
-        raise ValueError(f"need at least 2 endmember columns, found {P}")
     data = []
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != P:
-            raise ValueError(f"row {i} has {len(row)} cells, expected {P}")
+        if len(row) != len(names):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(names)}")
         try:
             data.append([float(c) for c in row])
         except ValueError:
             raise ValueError(f"non-numeric cell in row {i}") from None
-    S = np.array(data)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("endmember matrix contains non-finite values")
+    S = np.array(data).reshape(len(data), len(names))
+    _check_endmembers(S, names)
     return S, names
 
 
 def write_endmembers(path, S, names):
-    _write_csv(path, names, np.asarray(S))
+    """Write an (L, P) endmember matrix under a header row of its P names;
+    ValueError, and no file, for what `load_endmembers` would refuse."""
+    S = np.asarray(S, dtype=float)
+    _check_endmembers(S, names)
+    _write_csv(path, names, S)
+
+
+def _check_mask(idx):
+    """The mask rule, applied by `write_mask` to what it writes and by
+    `load_mask` to what it reads: at least one pixel index, each an
+    integer, nonnegative and listed once."""
+    if idx.ndim != 1:
+        raise ValueError(f"mask indices must be one list, got shape {idx.shape}")
+    if idx.size == 0:
+        raise ValueError("mask lists no pixels")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"mask entries must be integer pixel indices, got dtype {idx.dtype}")
+    if np.any(idx < 0):
+        raise ValueError("mask indices must be nonnegative")
+    # sorted, then neighbours compared: np.unique would import numpy.ma
+    s = np.sort(idx)
+    if np.any(s[1:] == s[:-1]):
+        raise ValueError("mask indices must be unique")
 
 
 def load_mask(path):
@@ -233,22 +266,20 @@ def load_mask(path):
         rows = [r for r in csv.reader(fh) if r]
     if rows and rows[0] and rows[0][0].strip().lower() == "index":
         rows = rows[1:]
-    if not rows:
-        raise ValueError("mask file lists no pixels")
     try:
-        idx = np.array([int(r[0]) for r in rows])
+        idx = np.array([int(r[0]) for r in rows], dtype=int)
     except ValueError:
         raise ValueError("mask entries must be integer pixel indices") from None
-    if np.any(idx < 0):
-        raise ValueError("mask indices must be nonnegative")
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("mask indices must be unique")
+    _check_mask(idx)
     return idx
 
 
 def write_mask(path, indices):
-    lines = ["index"] + [str(int(i)) for i in indices]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write pixel indices one per line under an 'index' header;
+    ValueError, and no file, for what `load_mask` would refuse."""
+    idx = np.asarray(indices)
+    _check_mask(idx)
+    _atomic_write_text(path, "\n".join(["index", *map(str, idx.tolist())]) + "\n")
 
 
 def write_float_csv(path, arr, header=None):

@@ -229,9 +229,9 @@ class GramMatrix:
     @cached_property
     def _precision(self):
         """Dense K_U^{-1}, full, symmetric and C-ordered."""
-        from scipy.linalg import lapack
+        from ._lapack import dpotri
 
-        inv = lapack.dpotri(self.chol, lower=1)[0]
+        inv = dpotri(self.chol, lower=1)[0]
         # dpotri fills the lower triangle; mirror it into the upper one, in
         # place. The symmetric F-ordered array, transposed, is C-ordered.
         for j in range(len(inv) - 1):
@@ -264,7 +264,7 @@ class GramMatrix:
             return Zc / chol / chol
         if n < _SYMV_MIN_PIXELS:
             return Zc @ self._precision
-        from scipy.linalg.blas import dsymv
+        from ._lapack import dsymv
 
         # dpotri's own F-ordered array, whose lower triangle dsymv reads
         # without a copy; each call writes its row of out in place.
@@ -301,7 +301,7 @@ def _cholesky_with_jitter(make_K, scale):
     ``clean`` has zeroed the untouched triangle, so the next attempt asks
     for a new one after dropping it: one N x N array at a time.
     """
-    from scipy.linalg.lapack import dpotrf
+    from ._lapack import dpotrf
 
     jitters = [0.0]
     j = _JITTER_START * scale

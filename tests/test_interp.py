@@ -5,6 +5,7 @@ import pytest
 
 from simplexuq import geometry, interp
 from simplexuq import io as sio
+from simplexuq.errors import IllConditionedKernelError
 from simplexuq.interp import PartialObservation, interpolate
 from simplexuq.prior import KernelSpec, PriorSpec, build_gram, gp_prior_sample
 
@@ -190,6 +191,26 @@ def test_nonfinite_grid_coordinate_rejected_before_the_kernel(kind, bad, monkeyp
     obs = PartialObservation(np.array([0, 8]), np.full((3, 2), 1.0 / 3.0))
     monkeypatch.setattr(KernelSpec, "__call__", never)
     with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        interpolate(obs, spec, grid)
+
+
+def test_nonfinite_observed_covariance_rejected():
+    # sigma_a2 * sigma_k2 = 1e600 overflows, so the observed block is
+    # infinite although every input is finite
+    grid = sio.make_grid(3, 1)
+    spec = PriorSpec(P=3, sigma_a2=1e300, kernel=KernelSpec(length_scale=2.0, sigma_k2=1e300))
+    obs = PartialObservation(np.array([0, 2]), np.full((3, 2), 1.0 / 3.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        interpolate(obs, spec, grid)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_singular_observed_covariance_rejected(kind):
+    # two observed pixels at one coordinate: a rank-one block, and no nugget
+    grid = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(kind=kind, length_scale=2.0))
+    obs = PartialObservation(np.array([0, 1]), np.array([[0.6, 0.5], [0.3, 0.2], [0.1, 0.3]]))
+    with pytest.raises(IllConditionedKernelError, match="observed-block covariance is singular"):
         interpolate(obs, spec, grid)
 
 

@@ -332,6 +332,48 @@ def test_endmembers_toy_and_errors(tmp_path):
         sio.load_endmembers(p)
 
 
+@pytest.mark.parametrize(
+    "S, names, message",
+    [
+        (np.ones((4, 3)), ["a", "b"], r"shape \(4, 3\) for 2 names"),
+        (np.ones((4, 1)), ["a"], "at least 2 endmember columns"),
+        (np.ones((0, 2)), ["a", "b"], "at least one band row"),
+        (np.array([[0.5, np.nan]]), ["a", "b"], "non-finite"),
+    ],
+    ids=["more-columns-than-names", "one-column", "no-bands", "nan"],
+)
+def test_endmember_writer_refuses_what_the_reader_refuses(tmp_path, S, names, message):
+    # The writer raises and leaves no file; the reader refuses the file the
+    # writer would have written without its check.
+    p = tmp_path / "end.csv"
+    with pytest.raises(ValueError, match=message):
+        sio.write_endmembers(p, S, names)
+    assert not p.exists()
+    sio._write_csv(p, names, S)
+    with pytest.raises(ValueError):
+        sio.load_endmembers(p)
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([], "lists no pixels"),
+        ([1, 1], "must be unique"),
+        ([-1], "must be nonnegative"),
+        ([1.5], "must be integer pixel indices"),
+    ],
+    ids=["empty", "repeated", "negative", "fraction"],
+)
+def test_mask_writer_refuses_what_the_reader_refuses(tmp_path, indices, message):
+    p = tmp_path / "mask.csv"
+    with pytest.raises(ValueError, match=message):
+        sio.write_mask(p, indices)
+    assert not p.exists()
+    p.write_text("".join(f"{i}\n" for i in ["index", *indices]))
+    with pytest.raises(ValueError, match=message):
+        sio.load_mask(p)
+
+
 def test_mask_round_trip_and_errors(tmp_path):
     p = tmp_path / "mask.csv"
     sio.write_mask(p, [3, 1, 7])

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
-from simplexuq import geometry
+from simplexuq import _lapack, geometry
 from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.interp import PartialObservation
@@ -394,7 +393,7 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
     Q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((4, 4)))
     indefinite = Q @ np.diag([1.0, 0.5, 0.2, -5e-7]) @ Q.T
     indefinite = 0.5 * (indefinite + indefinite.T)
-    dpotrf = lapack.dpotrf
+    dpotrf = _lapack.dpotrf
     calls = []
 
     def recording(a, **kwargs):
@@ -404,7 +403,7 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
     def factor(K):
         return dpotrf(K, lower=1, clean=1)[0]
 
-    monkeypatch.setattr(lapack, "dpotrf", recording)
+    monkeypatch.setattr(_lapack, "dpotrf", recording)
     L, jit = _cholesky_with_jitter(indefinite.copy, 1.0)
     assert jit > 0 and len(calls) >= 2
     assert np.array_equal(calls[-1], indefinite + jit * np.eye(len(indefinite)))
@@ -648,8 +647,6 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
 def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
     # Below the crossover the product is the matmul, bit for bit; from it on,
     # one dsymv per row reads the precision in place, never copying it.
-    from scipy.linalg import blas
-
     side = int(np.ceil(np.sqrt(n)))
     gram = build_gram(sio.make_grid(side, side)[:n], KernelSpec(length_scale=3.0))
     K, P = gram.matrix, gram._precision
@@ -662,13 +659,13 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
         rng.standard_normal((2, 2, n)),
     )
     calls = []
-    dsymv = blas.dsymv
+    dsymv = _lapack.dsymv
 
     def counting(*args, **kwargs):
         calls.append(args[2].shape)
         return dsymv(*args, **kwargs)
 
-    monkeypatch.setattr(blas, "dsymv", counting)
+    monkeypatch.setattr(_lapack, "dsymv", counting)
     for Zc in Zcs:
         calls.clear()
         tracemalloc.start()
