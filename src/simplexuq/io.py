@@ -198,11 +198,17 @@ def _write_csv(path, header, rows, labels=None):
 
 def _check_endmembers(S, names):
     """The endmember rule, applied by `write_endmembers` to what it writes
-    and by `load_endmembers` to what it reads: at least 2 names, and a
-    finite (L, P) matrix with a column per name and at least one band."""
+    and by `load_endmembers` to what it reads: at least 2 names, distinct
+    strings without surrounding whitespace, and a finite (L, P) matrix with
+    a column per name and at least one band."""
     P = len(names)
     if P < 2:
         raise ValueError(f"need at least 2 endmember columns, found {P}")
+    for name in names:
+        if not isinstance(name, str) or name != name.strip():
+            raise ValueError(f"endmember name {name!r} is not a string without surrounding whitespace")
+    if len(set(names)) != P:
+        raise ValueError(f"endmember names {names} repeat a name")
     if S.ndim != 2 or S.shape[1] != P:
         raise ValueError(f"endmember matrix of shape {S.shape} for {P} names")
     if len(S) < 1:
@@ -220,7 +226,7 @@ def load_endmembers(path):
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("endmember CSV needs a header row and at least one band row")
-    names = [c.strip() for c in rows[0]]
+    names = rows[0]
     data = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(names):

@@ -25,16 +25,20 @@ KERNEL_KINDS = ("exponential", "dirac")
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
-# GramMatrix multiplies by its precision with one symmetric dsymv per row,
-# instead of a matmul, from this many pixels on (see the GramMatrix
-# docstring). Measured on a 2-core Xeon, 2 MiB L2 per core, OpenBLAS, one
-# BLAS thread; not checked with multi-threaded BLAS or other cache sizes.
+# GramMatrix multiplies by a precision block of this many pixels or more
+# with one symmetric dsymv per row instead of a matmul, and splits the
+# precision of a lattice of this many pixels or more into its four parity
+# blocks (see the GramMatrix docstring). The dsymv crossover was measured
+# on a 2-core Xeon with 2 MiB of L2 per core (`lscpu -C`: 2M each, 4M over
+# both), OpenBLAS, one BLAS thread; not checked with multi-threaded BLAS or
+# other cache sizes.
 _SYMV_MIN_PIXELS = 480
 
-# Entries of one row block of an exponential kernel evaluation: the result
-# is filled a block of rows at a time, so its scratch buffers stay in cache
-# and add at most 1/32 of a 1024 x 1024 result to the peak.
-_KERNEL_BLOCK_ENTRIES = 2**14
+# Entries of one block of rows: an exponential kernel evaluation fills its
+# result, and a lattice operator folds its factor, a block of rows at a
+# time, so their scratch buffers stay in cache and add at most 1/32 of a
+# 1024 x 1024 matrix to the peak.
+_ROW_BLOCK_ENTRIES = 2**14
 
 # An exponential kernel is evaluated by table lookup when the table of
 # pixel offsets has at most 1/8 as many entries as the result: the table
@@ -89,7 +93,7 @@ class KernelSpec:
             return self.sigma_k2 * same.astype(float)
         n1, n2 = len(U1), len(U2)
         out = np.empty((n1, n2))
-        rows = max(1, _KERNEL_BLOCK_ENTRIES // max(n2, 1))
+        rows = max(1, _ROW_BLOCK_ENTRIES // max(n2, 1))
         lattice = _lattice_offsets(U1, U2, out.size)
         if lattice is not None:
             table, P1, P2 = lattice
@@ -189,28 +193,47 @@ class GramMatrix:
     solve divides the right-hand side by ``chol`` twice, so a unit diagonal
     returns it unchanged. A dense solve multiplies by the precision
     K_U^{-1} instead of running two triangular solves. The precision is
-    formed from ``chol`` by LAPACK ``dpotri`` on the first solve, so an
-    operator used only for prior draws never pays for it, and is then kept
-    full, symmetric, C-ordered and read-only. ``matrix``, the Gram matrix
-    itself (with the kernel amplitude sigma_k2 on its diagonal), is not
-    stored: each access recomputes it as ``chol @ chol.T``, so memory stays
-    at two N x N arrays, or as the (N,) diagonal ``chol * chol``.
-    ``applied_jitter`` records the diagonal boost that made the Cholesky
-    succeed (0.0 when none was needed). Instances are immutable and safe to
-    share across threads (two threads that solve first may both form the
-    same precision); they compare and hash by identity.
+    formed from ``chol`` on the first solve, so an operator used only for
+    prior draws never pays for it, and is then kept as full, symmetric,
+    C-ordered, read-only blocks. ``matrix``, the Gram matrix itself (with
+    the kernel amplitude sigma_k2 on its diagonal), is not stored: each
+    access recomputes it as ``chol @ chol.T``, or as the (N,) diagonal
+    ``chol * chol``. ``applied_jitter`` records the diagonal boost that
+    made the Cholesky succeed (0.0 when none was needed). Instances are
+    immutable and safe to share across threads (two threads that solve
+    first may both form the same precision); they compare and hash by
+    identity.
 
-    A product with the precision reads the whole matrix for a few flops per
+    On the row-major w x h lattice of ``io.make_grid`` (``build_gram``
+    records it), a kernel that depends only on |dx| and |dy| commutes with
+    the x- and y-reflections of the lattice, so K_U is block-diagonal in
+    the four even/odd parity classes of the two reflections: the
+    centrosymmetric splitting of Cantoni & Butler 1976 (Linear Algebra
+    Appl. 13:275), once per axis. For a basis V_c of class c, built from
+    unnormalised +-1 folds of mirrored pixels (the centre row or column of
+    an odd side is even), K_U^{-1} = sum_c V_c B_c^{-1} V_c^T with
+    B_c = V_c^T K_U V_c. From ``_SYMV_MIN_PIXELS`` pixels on, a lattice
+    operator keeps these four blocks, a quarter of the dense precision's
+    bytes, and a product folds the right-hand side into the classes,
+    multiplies each by its block and unfolds the result. Each B_c is
+    accumulated from the factor, B_c = (V_c^T L)(V_c^T L)^T, a panel of
+    its columns at a time, so a solve describes the same L L^T as
+    ``matrix`` and ``log_det``. Any other dense operator keeps one block,
+    V = I, whose factor is ``chol`` itself: the dense precision.
+
+    A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
-    on, where the matrix outgrows a core's L2 cache, each row is multiplied
-    by BLAS ``dsymv``, which reads one triangle: half the traffic, and half
-    the time at N = 1024. Below that the matrix stays in cache, and one
-    ``matmul`` beats a ``dsymv`` call per row, with its call overhead and
-    slower kernel.
+    of a block on, where it outgrows a core's L2 cache, each row is
+    multiplied by BLAS ``dsymv``, which reads one triangle: half the
+    traffic, and half the time for a 1024-pixel block. Below that the
+    block stays in cache, and one ``matmul`` beats a ``dsymv`` call per
+    row, with its call overhead and slower kernel.
     """
 
     chol: np.ndarray
     applied_jitter: float = 0.0
+    # (width, height) of the row-major lattice the pixels fill, or None
+    _lattice: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         chol = np.asfortranarray(self.chol, dtype=float)
@@ -223,21 +246,52 @@ class GramMatrix:
         # by column: chol[:j, j] is contiguous in the F-ordered factor.
         if chol.ndim == 2 and any(chol[:j, j].any() for j in range(1, len(chol))):
             raise ValueError("Cholesky factor must be lower triangular")
+        if self._lattice is not None and (chol.ndim != 2 or math.prod(self._lattice) != len(chol)):
+            raise ValueError(f"a {self._lattice} lattice for a factor of shape {chol.shape}")
         object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
 
     @cached_property
-    def _precision(self):
-        """Dense K_U^{-1}, full, symmetric and C-ordered."""
-        from ._lapack import dpotri
+    def _blocks(self):
+        """K_U^{-1} as (lattice, blocks): the lattice the solves fold over
+        (None for the one class V = I) and each class's B_c^{-1}, full,
+        symmetric, C-ordered and read-only."""
+        from ._lapack import dpotrf, dpotri, dsyrk
 
-        inv = dpotri(self.chol, lower=1)[0]
-        # dpotri fills the lower triangle; mirror it into the upper one, in
-        # place. The symmetric F-ordered array, transposed, is C-ordered.
-        for j in range(len(inv) - 1):
-            inv[j, j + 1 :] = inv[j + 1 :, j]
-        inv.setflags(write=False)
-        return inv.T
+        n = len(self.chol)
+        lattice = self._lattice if n >= _SYMV_MIN_PIXELS else None
+        if lattice is None:
+            # B = K_U, whose factor is chol; dpotri copies the read-only factor
+            factors = [self.chol]
+        else:
+            # The blocks share one allocation, so the operator holds one
+            # array of N^2/4 entries beside its factor, and frees it whole.
+            sizes = _class_sizes(*lattice)
+            ends = np.cumsum([m * m for m in sizes])
+            store = np.zeros(ends[-1])
+            factors = [store[e - m * m : e].reshape(m, m, order="F") for m, e in zip(sizes, ends)]
+            # B_c accumulates (V_c^T L_p)(V_c^T L_p)^T over panels L_p of the
+            # factor's columns (rows of chol.T), so the folds stay small.
+            rows = max(1, _ROW_BLOCK_ENTRIES // n)
+            for s in range(0, n, rows):
+                for B, part in zip(factors, _fold(self.chol.T[s : s + rows], lattice)):
+                    if B.size:
+                        dsyrk(1.0, part.T, beta=1.0, c=B, lower=1, overwrite_c=1)
+            for B in factors:
+                if B.size and dpotrf(B, lower=1, overwrite_a=1)[1] != 0:
+                    raise IllConditionedKernelError(
+                        f"a {len(B)}x{len(B)} block of the precision is not positive definite"
+                    )
+        blocks = []
+        for F in factors:
+            inv = dpotri(F, lower=1, overwrite_c=F.flags.writeable)[0] if F.size else F
+            # dpotri fills the lower triangle; mirror it into the upper one,
+            # in place. The symmetric F-ordered array, transposed, is C-ordered.
+            for j in range(len(inv) - 1):
+                inv[j, j + 1 :] = inv[j + 1 :, j]
+            inv.setflags(write=False)
+            blocks.append(inv.T)
+        return lattice, blocks
 
     @property
     def matrix(self):
@@ -262,17 +316,9 @@ class GramMatrix:
             raise ValueError(f"right-hand side of shape {Zc.shape} for {len(chol)} pixels")
         if chol.ndim == 1:
             return Zc / chol / chol
-        if n < _SYMV_MIN_PIXELS:
-            return Zc @ self._precision
-        from ._lapack import dsymv
-
-        # dpotri's own F-ordered array, whose lower triangle dsymv reads
-        # without a copy; each call writes its row of out in place.
-        inv = self._precision.T
-        out = np.zeros(Zc.shape)
-        for z, y in zip(Zc.reshape(-1, n), out.reshape(-1, n)):
-            dsymv(1.0, inv, z, y=y, overwrite_y=1, lower=1)
-        return out
+        lattice, blocks = self._blocks
+        parts = _fold(Zc, lattice)
+        return _unfold([_block_product(z, inv) for z, inv in zip(parts, blocks)], lattice)
 
     def solve(self, B):
         """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
@@ -288,6 +334,81 @@ class GramMatrix:
         if self.chol.ndim == 1:
             return E * self.chol
         return E @ self.chol.T
+
+
+def _block_product(z, inv):
+    """z inv over the last axis of z, for a symmetric C-ordered block inv."""
+    n = len(inv)
+    if n < _SYMV_MIN_PIXELS:
+        return z @ inv
+    from ._lapack import dsymv
+
+    # dpotri's own F-ordered array, whose lower triangle dsymv reads without
+    # a copy; each call writes its row of out in place.
+    out = np.zeros(z.shape)
+    for row, y in zip(z.reshape(-1, n), out.reshape(-1, n)):
+        dsymv(1.0, inv.T, row, y=y, overwrite_y=1, lower=1)
+    return out
+
+
+def _class_sizes(w, h):
+    """Pixels in the four parity classes of a w x h lattice, in `_fold`'s order."""
+    return [a * b for a in ((w + 1) // 2, w // 2) for b in ((h + 1) // 2, h // 2)]
+
+
+def _mirror_fold(a):
+    """(even, odd) folds of a over its last axis of n entries: the sums and
+    the differences of mirrored entries, ceil(n/2) and floor(n/2) of them;
+    the centre entry of an odd n is even."""
+    n = a.shape[-1]
+    k = n // 2
+    lo, hi = a[..., :k], a[..., ::-1][..., :k]
+    even = np.empty(a.shape[:-1] + (n - k,))
+    np.add(lo, hi, out=even[..., :k])
+    even[..., k:] = a[..., k : n - k]
+    return even, lo - hi
+
+
+def _mirror_unfold(even, odd):
+    """V_e even + V_o odd over the last axis: the transpose of `_mirror_fold`,
+    which returns V_e^T a and V_o^T a."""
+    k = odd.shape[-1]
+    n = even.shape[-1] + k
+    out = np.empty(even.shape[:-1] + (n,))
+    np.add(even[..., :k], odd, out=out[..., :k])
+    np.subtract(even[..., :k], odd, out=out[..., ::-1][..., :k])
+    out[..., k : n - k] = even[..., k:]
+    return out
+
+
+def _fold(a, lattice):
+    """V_c^T a over the last axis of pixel vectors a, for each parity class
+    c of a (width, height) lattice: x-even/y-even, x-even/y-odd,
+    x-odd/y-even, x-odd/y-odd; [a] itself for the one class of no lattice."""
+    if lattice is None:
+        return [a]
+    w, h = lattice
+    lead = a.shape[:-1]
+    return [
+        c.reshape(lead + (c.shape[-1] * c.shape[-2],))
+        for x in _mirror_fold(a.reshape(lead + (h, w)))
+        for c in _mirror_fold(x.swapaxes(-1, -2))
+    ]
+
+
+def _unfold(parts, lattice):
+    """sum_c V_c parts[c] over the last axis, for `_fold`'s classes:
+    the transpose of `_fold`."""
+    if lattice is None:
+        return parts[0]
+    w, h = lattice
+    lead = parts[0].shape[:-1]
+    he, ho = (h + 1) // 2, h // 2
+    x = [
+        _mirror_unfold(e.reshape(lead + (wc, he)), o.reshape(lead + (wc, ho))).swapaxes(-1, -2)
+        for e, o, wc in ((parts[0], parts[1], (w + 1) // 2), (parts[2], parts[3], w // 2))
+    ]
+    return _mirror_unfold(*x).reshape(lead + (w * h,))
 
 
 def _cholesky_with_jitter(make_K, scale):
@@ -369,7 +490,22 @@ def build_gram(grid, kernel):
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
     # kernel(grid, grid) is exactly symmetric: each entry squares a difference
     # and its exact negation
-    return GramMatrix(*_cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2))
+    L, jitter = _cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2)
+    return GramMatrix(L, jitter, _lattice_shape(grid))
+
+
+def _lattice_shape(grid):
+    """(width, height) when grid is the row-major lattice ``io.make_grid``
+    returns, else None."""
+    n = len(grid)
+    if grid.shape[1] != 2 or not 0 <= grid[:, 0].max() < n:
+        return None
+    x, y = grid.T
+    width = int(x.max()) + 1
+    i = np.arange(n)
+    if n % width or not (np.array_equal(x, i % width) and np.array_equal(y, i // width)):
+        return None
+    return width, n // width
 
 
 @dataclass(frozen=True, eq=False)

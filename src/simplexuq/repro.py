@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from . import io as sio
-from .prior import KernelSpec, PriorSpec, build_gram
+from .prior import KernelSpec, PriorSpec, build_gram, gp_prior_sample
 from .sampler import Observations, PosteriorModel, SamplerConfig, mirror_langevin
 from .synth import builtin_endmembers, synth_generate
 from .uq import euclidean_mean, geodesic_mean, hdr, map_total_variation, summarize_image
@@ -123,7 +123,12 @@ def samson_synthetic(output_dir, seed=SAMSON_SEED):
     gt_spec = PriorSpec(
         P=3, sigma_a2=SAMSON_GT_SIGMA_A2, kernel=KernelSpec(length_scale=SAMSON_LENGTH_SCALE)
     )
-    synth = synth_generate(S, grid, gt_spec, snr_db=SAMSON_SNR_DB, rng=seed)
+    # The spatial run's prior has the ground truth's kernel, so one Gram
+    # matrix serves both; the truth is drawn as synth_generate draws it.
+    gram = build_gram(grid, gt_spec.kernel)
+    rng = np.random.default_rng(seed)
+    truth = gp_prior_sample(gt_spec, gram, 1, rng)[0]
+    synth = synth_generate(S, grid, gt_spec, snr_db=SAMSON_SNR_DB, rng=rng, abundances=truth)
     obs = Observations(synth.X, synth.sigma2)
     max_comp = synth.A.max(axis=0)
     pure = max_comp >= PURE_THRESHOLD
@@ -138,7 +143,8 @@ def samson_synthetic(output_dir, seed=SAMSON_SEED):
     burn = SAMSON_N_STEPS - SAMSON_N_KEPT
     results = {}
     for i, (name, spec) in enumerate(runs.items()):
-        gram = build_gram(grid, spec.kernel)
+        if spec.kernel != gt_spec.kernel:
+            gram = build_gram(grid, spec.kernel)
         model = PosteriorModel(S, obs, spec, gram)
         cfg = SamplerConfig(
             step_size=SAMSON_STEP, n_steps=SAMSON_N_STEPS, burn_in=burn, seed=seed + 1 + i

@@ -313,6 +313,21 @@ def test_endmembers_round_trip(tmp_path):
     assert np.array_equal(S, S2)
 
 
+def test_endmember_names_round_trip_verbatim(tmp_path):
+    # Inner spaces, commas and quotes survive; the reader strips nothing, so
+    # a name it reads with surrounding spaces is refused, not renamed.
+    p = tmp_path / "end.csv"
+    names = ["dry soil", "water, deep", 'veg "x"']
+    sio.write_endmembers(p, np.eye(3), names)
+    assert sio.load_endmembers(p)[1] == names
+    p.write_text(" soil,water \n0.1,0.9\n")
+    with pytest.raises(ValueError, match="surrounding whitespace"):
+        sio.load_endmembers(p)
+    p.write_text("soil,soil\n0.1,0.9\n")
+    with pytest.raises(ValueError, match="repeat a name"):
+        sio.load_endmembers(p)
+
+
 def test_endmembers_toy_and_errors(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a,b\n0.1,0.9\n0.8,0.2\n")
@@ -339,8 +354,11 @@ def test_endmembers_toy_and_errors(tmp_path):
         (np.ones((4, 1)), ["a"], "at least 2 endmember columns"),
         (np.ones((0, 2)), ["a", "b"], "at least one band row"),
         (np.array([[0.5, np.nan]]), ["a", "b"], "non-finite"),
+        (np.ones((4, 2)), ["soil", "soil"], "repeat a name"),
+        (np.ones((4, 2)), [" soil", "water"], "surrounding whitespace"),
+        (np.ones((4, 2)), ["soil", "water\t"], "surrounding whitespace"),
     ],
-    ids=["more-columns-than-names", "one-column", "no-bands", "nan"],
+    ids=["more-columns-than-names", "one-column", "no-bands", "nan", "repeated-name", "leading-space", "trailing-tab"],
 )
 def test_endmember_writer_refuses_what_the_reader_refuses(tmp_path, S, names, message):
     # The writer raises and leaves no file; the reader refuses the file the

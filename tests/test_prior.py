@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from simplexuq import _lapack, geometry
+from simplexuq import prior as prior_module
 from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.interp import PartialObservation
@@ -480,26 +481,30 @@ def test_gram_rejects_nonfinite_grid_before_the_kernel(kind, bad, monkeypatch):
 
 
 def test_gram_stores_factor_and_precision_only():
-    grid = sio.make_grid(8, 6)
-    n = len(grid)
-    gram = build_gram(grid, KernelSpec(length_scale=3.0))
-
-    def stored():
-        return [v for v in vars(gram).values() if isinstance(v, np.ndarray)]
-
-    # the factor only, until the first solve forms the precision
-    assert len(stored()) == 1 and stored()[0] is gram.chol
-    Zc = np.random.default_rng(17).standard_normal((2, n))
-    ZcKinv = gram._rsolve(Zc)
-    assert len(stored()) == 2 and all(v.shape == (n, n) for v in stored())
-    P = gram._precision
-    assert P.flags.c_contiguous and not P.flags.writeable
-    assert np.array_equal(P, P.T)
-    K = gram.matrix
-    assert np.array_equal(K, gram.chol @ gram.chol.T)
-    assert np.max(np.abs(P @ K - np.eye(n))) < 1e-10
-    assert np.max(np.abs(ZcKinv - np.linalg.solve(K, Zc.T).T)) < 1e-10
-    assert np.array_equal(gram.solve(Zc.T), gram._rsolve(Zc).T)
+    # Below the crossover the precision is one dense block (V = I); on a
+    # lattice from the crossover on, four parity blocks holding a quarter
+    # of its entries.
+    for w, h, n_blocks in ((8, 6, 1), (24, 20, 4)):
+        n = w * h
+        gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=3.0))
+        # the factor only, until the first solve forms the precision
+        assert set(vars(gram)) == {"chol", "applied_jitter", "_lattice"}
+        assert gram._lattice == (w, h)
+        Zc = np.random.default_rng(17).standard_normal((2, n))
+        ZcKinv = gram._rsolve(Zc)
+        assert set(vars(gram)) == {"chol", "applied_jitter", "_lattice", "_blocks"}
+        lattice, blocks = gram._blocks
+        assert lattice == (None if n_blocks == 1 else (w, h))
+        assert len(blocks) == n_blocks and sum(B.size for B in blocks) == n * n // n_blocks
+        for B in blocks:
+            assert B.flags.c_contiguous and not B.flags.writeable
+            assert np.array_equal(B, B.T)
+        K = gram.matrix
+        assert np.array_equal(K, gram.chol @ gram.chol.T)
+        # K^-1 row by row
+        assert np.max(np.abs(gram._rsolve(np.eye(n)) @ K - np.eye(n))) < 1e-10
+        assert np.max(np.abs(ZcKinv - np.linalg.solve(K, Zc.T).T)) < 1e-10
+        assert np.array_equal(gram.solve(Zc.T), gram._rsolve(Zc).T)
     with pytest.raises(ValueError):
         GramMatrix(np.diag([1.0, 0.0, 2.0]))
 
@@ -507,8 +512,10 @@ def test_gram_stores_factor_and_precision_only():
 def test_gram_peak_memory_is_three_matrices():
     # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
     # space) a build peaks at three N x N arrays at most and keeps the
-    # factor; the first solve adds the precision and peaks at those two
-    # arrays. The in-place test below holds a build to one array.
+    # factor. The first solve on this lattice, above the crossover, forms
+    # the four parity blocks of the precision, a quarter of N x N, from
+    # panels of the factor's columns whose folds add under a sixth of
+    # N x N. The in-place test below holds a build to one array.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
@@ -523,9 +530,24 @@ def test_gram_peak_memory_is_three_matrices():
             solved, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert gram._blocks[0] == (24, 24)
         assert build_peak <= 3.05 * nbytes and built <= 1.05 * nbytes
-        assert solve_peak <= 2.05 * nbytes and solved <= 2.05 * nbytes
+        assert solve_peak - built <= 0.42 * nbytes and solved - built <= 0.26 * nbytes
         del gram
+
+
+def test_first_lattice_solve_allocates_no_full_size_array():
+    # At 32 x 32 the dense precision would be one 8 MB array; the blocks
+    # are one 2 MB array and the folds of each panel of the factor 128 KiB.
+    gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=10.0))
+    nbytes = gram.chol.nbytes
+    tracemalloc.start()
+    try:
+        gram._rsolve(np.ones((2, 32 * 32)))
+        solved, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * nbytes and solved <= 0.26 * nbytes
 
 
 def test_kernel_spec_validation():
@@ -646,10 +668,13 @@ def test_gram_factor_is_column_major_and_solve_matches_dense():
 @pytest.mark.parametrize("n", [_SYMV_MIN_PIXELS - 1, _SYMV_MIN_PIXELS])
 def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
     # Below the crossover the product is the matmul, bit for bit; from it on,
-    # one dsymv per row reads the precision in place, never copying it.
+    # one dsymv per row reads the precision in place, never copying it. A
+    # lattice less its last pixels keeps the one dense block.
     side = int(np.ceil(np.sqrt(n)))
     gram = build_gram(sio.make_grid(side, side)[:n], KernelSpec(length_scale=3.0))
-    K, P = gram.matrix, gram._precision
+    K = gram.matrix
+    lattice, (P,) = gram._blocks
+    assert lattice is None
     rng = np.random.default_rng(34)
     B = rng.standard_normal((n, 2))
     Zcs = (
@@ -689,6 +714,69 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
         gram.solve(B)
     with pytest.raises(ValueError):
         gram.solve(np.ones(2 * n))
+
+
+@settings(max_examples=30)
+@given(w=st.integers(1, 40), h=st.integers(1, 40), length_scale=st.floats(1.0, 10.0))
+@example(w=1, h=1, length_scale=10.0)
+@example(w=1, h=40, length_scale=10.0)
+@example(w=40, h=1, length_scale=10.0)
+@example(w=23, h=20, length_scale=10.0)  # 460 pixels, below the crossover
+@example(w=24, h=20, length_scale=10.0)  # 480, at it
+@example(w=21, h=23, length_scale=10.0)  # odd by odd, above it
+@example(w=40, h=40, length_scale=10.0)
+def test_lattice_block_product_matches_the_dense_precision(w, h, length_scale):
+    # The parity blocks give the product of the dense dpotri precision of
+    # the same factor; the factor's other uses do not see the lattice. The
+    # length scales are the pipeline's (10 px in the paper and in repro):
+    # both products err by about cond(K_U) eps, which grows with it.
+    gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=length_scale))
+    dense = GramMatrix(gram.chol, gram.applied_jitter)
+    assert gram._lattice == (w, h) and dense._lattice is None
+    rng = np.random.default_rng(41 * w + h)
+    Zc = rng.standard_normal((3, w * h))
+    got, want = gram._rsolve(Zc), dense._rsolve(Zc)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if w * h < _SYMV_MIN_PIXELS:
+        assert np.array_equal(got, want)
+    L = gram.chol
+    E = rng.standard_normal((2, w * h))
+    assert np.array_equal(gram.matrix, L @ L.T) and np.array_equal(gram.matrix, dense.matrix)
+    assert gram.log_det == dense.log_det == 2.0 * np.sum(np.log(np.diag(L)))
+    assert np.array_equal(gram.sqrt_matvec(E), E @ L.T)
+
+
+def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
+    # A 1 x n strip splits into two y-parity classes of n/2 pixels, each
+    # past the crossover: one dsymv per row of each class.
+    n = 2 * _SYMV_MIN_PIXELS + 20
+    gram = build_gram(sio.make_grid(1, n), KernelSpec(length_scale=10.0))
+    Zc = np.random.default_rng(35).standard_normal((2, 3, n))
+    want = GramMatrix(gram.chol)._rsolve(Zc)
+    lattice, blocks = gram._blocks
+    assert lattice == (1, n) and [len(B) for B in blocks] == [n // 2, n // 2, 0, 0]
+    calls = []
+    dsymv = _lapack.dsymv
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(_lapack, "dsymv", counting)
+    got = gram._rsolve(Zc)
+    assert calls == [(n // 2,)] * 12
+    assert got.shape == Zc.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned(monkeypatch):
+    # The odd class of this 1 x 2 lattice is the row difference (0, -1e-200)
+    # of the factor, whose square underflows to 0: no block factor exists,
+    # and the first solve raises instead of forming a precision.
+    monkeypatch.setattr(prior_module, "_SYMV_MIN_PIXELS", 2)
+    gram = GramMatrix(np.array([[1.0, 0.0], [1.0, 1e-200]]), 0.0, (1, 2))
+    with pytest.raises(IllConditionedKernelError, match="block of the precision"):
+        gram._rsolve(np.ones(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

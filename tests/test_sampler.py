@@ -567,8 +567,10 @@ def test_block_loop_matches_reference_loop_dirac(sampler, monkeypatch):
         assert np.array_equal(chain.energy_trace, E)
 
 
-def exponential_model_with_mean(w, h):
-    grid = sio.make_grid(w, h)
+def exponential_model_with_mean(w, h, n=None):
+    """An exponential-kernel model on the first n pixels of the w x h lattice
+    (all of them by default)."""
+    grid = sio.make_grid(w, h)[:n]
     kernel = KernelSpec(length_scale=2.0)
     spec = PriorSpec(P=3, sigma_a2=0.7, kernel=kernel, mean=np.array([0.5, -0.4]))
     S, _ = builtin_endmembers(32, 3)
@@ -594,34 +596,41 @@ def test_block_loop_matches_reference_loop_exponential_with_mean(sampler, monkey
     check_block_loop_against_reference(sampler, exponential_model_with_mean(3, 3), reference_chain)
 
 
-def matmul_reference_chain(*args, **kwargs):
-    """`reference_chain` with the prior's precision product done by matmul
-    whatever the pixel count."""
+def matmul_reference_chain(sampler, model, cfg):
+    """`reference_chain` with the model's Gram factor as a dense operator (one
+    precision block, V = I), multiplied by matmul whatever the pixel count."""
+    gram = GramMatrix(model.gram.chol, model.gram.applied_jitter)
+    dense = PosteriorModel(model.S, model.obs, model.prior, gram)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prior_module, "_SYMV_MIN_PIXELS", np.inf)
-        return reference_chain(*args, **kwargs)
+        return reference_chain(sampler, dense, cfg)
 
 
-def model_above_symv_crossover():
-    # Every other chain test runs below the crossover; on this scene the
-    # chain multiplies by the precision with dsymv.
+def models_above_symv_crossover():
+    # Every other chain test runs below the crossover. On the full lattice
+    # the chain multiplies by the four parity blocks of the precision; on
+    # the lattice less its last pixels, by the dense precision with dsymv.
     side = int(np.ceil(np.sqrt(prior_module._SYMV_MIN_PIXELS)))
-    return exponential_model_with_mean(side, side)
+    lattice = exponential_model_with_mean(side, side)
+    off_lattice = exponential_model_with_mean(side, side, prior_module._SYMV_MIN_PIXELS)
+    assert lattice.gram._lattice is not None and off_lattice.gram._lattice is None
+    return lattice, off_lattice
 
 
 @pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
 def test_block_loop_matches_matmul_reference_above_symv_crossover(sampler):
-    check_block_loop_against_reference(sampler, model_above_symv_crossover(), matmul_reference_chain)
+    for model in models_above_symv_crossover():
+        check_block_loop_against_reference(sampler, model, matmul_reference_chain)
 
 
 def test_block_loop_diverges_at_the_matmul_reference_step_above_symv_crossover():
-    model = model_above_symv_crossover()
     cfg = SamplerConfig(step_size=100.0, n_steps=500, burn_in=100, seed=5)
-    with pytest.raises(DivergenceError) as want:
-        matmul_reference_chain(mirror_langevin, model, cfg)
-    with pytest.raises(DivergenceError) as got:
-        mirror_langevin(model, cfg)
-    assert got.value.step == want.value.step
+    for model in models_above_symv_crossover():
+        with pytest.raises(DivergenceError) as want:
+            matmul_reference_chain(mirror_langevin, model, cfg)
+        with pytest.raises(DivergenceError) as got:
+            mirror_langevin(model, cfg)
+        assert got.value.step == want.value.step
 
 
 def test_block_loop_matches_reference_loop_default_blocks():
