@@ -41,4 +41,4 @@ def _load(name):
 _flapack = _load("_flapack")
 _fblas = _load("_fblas")
 dpotrf, dpotri, dpotrs, dtrtri = _flapack.dpotrf, _flapack.dpotri, _flapack.dpotrs, _flapack.dtrtri
-dsymv, dsyrk, dtrmm = _fblas.dsymv, _fblas.dsyrk, _fblas.dtrmm
+dsymv, dtrmm = _fblas.dsymv, _fblas.dtrmm

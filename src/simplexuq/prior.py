@@ -35,9 +35,8 @@ _JITTER_MAX = 1e-4
 _SYMV_MIN_PIXELS = 480
 
 # Entries of one block of rows: an exponential kernel evaluation fills its
-# result, and a lattice operator folds its factor, a block of rows at a
-# time, so their scratch buffers stay in cache and add at most 1/32 of a
-# 1024 x 1024 matrix to the peak.
+# result a block of rows at a time, so its scratch stays in cache and adds
+# 1/64 of a 1024 x 1024 matrix to the peak.
 _ROW_BLOCK_ENTRIES = 2**14
 
 # An exponential kernel is evaluated by table lookup when the table of
@@ -212,14 +211,14 @@ class GramMatrix:
     Appl. 13:275), once per axis. For a basis V_c of class c, built from
     unnormalised +-1 folds of mirrored pixels (the centre row or column of
     an odd side is even), K_U^{-1} = sum_c V_c B_c^{-1} V_c^T with
-    B_c = V_c^T K_U V_c. From ``_SYMV_MIN_PIXELS`` pixels on, a lattice
-    operator keeps these four blocks, a quarter of the dense precision's
-    bytes, and a product folds the right-hand side into the classes,
-    multiplies each by its block and unfolds the result. Each B_c is
-    accumulated from the factor, B_c = (V_c^T L)(V_c^T L)^T, a panel of
-    its columns at a time, so a solve describes the same L L^T as
-    ``matrix`` and ``log_det``. Any other dense operator keeps one block,
-    V = I, whose factor is ``chol`` itself: the dense precision.
+    B_c = V_c^T K_U V_c = diag(|orbit|) (K_U V_c)[representatives], the
+    pixels x < w/2, y < h/2 (rounded up), whose orbits hold 1, 2 or 4
+    pixels. From ``_SYMV_MIN_PIXELS`` pixels on, a lattice operator keeps
+    these four blocks, a quarter of the dense precision's bytes, formed in
+    O(N^2) from the first row of L L^T (the kernel at every offset, jitter
+    included), and a product folds the right-hand side into the classes,
+    multiplies each by its block and unfolds the result. Any other dense
+    operator keeps one block, V = I, whose factor is ``chol`` itself.
 
     A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -256,7 +255,7 @@ class GramMatrix:
         """K_U^{-1} as (lattice, blocks): the lattice the solves fold over
         (None for the one class V = I) and each class's B_c^{-1}, full,
         symmetric, C-ordered and read-only."""
-        from ._lapack import dpotrf, dpotri, dsyrk
+        from ._lapack import dpotrf, dpotri
 
         n = len(self.chol)
         lattice = self._lattice if n >= _SYMV_MIN_PIXELS else None
@@ -264,19 +263,25 @@ class GramMatrix:
             # B = K_U, whose factor is chol; dpotri copies the read-only factor
             factors = [self.chol]
         else:
-            # The blocks share one allocation, so the operator holds one
-            # array of N^2/4 entries beside its factor, and frees it whole.
-            sizes = _class_sizes(*lattice)
+            w, h = lattice
+            we, he = (w + 1) // 2, (h + 1) // 2
+            shapes = [(a, b) for a in (we, w // 2) for b in (he, h // 2)]
+            sizes = [a * b for a, b in shapes]
+            # One allocation of N^2/4 entries beside the factor holds the blocks, and is freed whole.
             ends = np.cumsum([m * m for m in sizes])
             store = np.zeros(ends[-1])
             factors = [store[e - m * m : e].reshape(m, m, order="F") for m, e in zip(sizes, ends)]
-            # B_c accumulates (V_c^T L_p)(V_c^T L_p)^T over panels L_p of the
-            # factor's columns (rows of chol.T), so the folds stay small.
-            rows = max(1, _ROW_BLOCK_ENTRIES // n)
-            for s in range(0, n, rows):
-                for B, part in zip(factors, _fold(self.chol.T[s : s + rows], lattice)):
-                    if B.size:
-                        dsyrk(1.0, part.T, beta=1.0, c=B, lower=1, overwrite_c=1)
+            # Row 0 of L L^T holds K_U at each |dy|, |dx|; mirrored, pixel (x, y)'s row is rows[y, x].
+            corner = (self.chol[0, 0] * self.chol[:, 0]).reshape(h, w)
+            table = corner[abs(np.arange(1 - h, h))][:, abs(np.arange(1 - w, w))]
+            rows = np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
+            # B_c = diag(|orbit|) (K_U V_c)[representatives]; the even fold of ones counts each orbit.
+            orbit = _fold(np.ones(n), lattice)[0].reshape(we, he, 1, 1)
+            for x in range(we):
+                parts = _fold((rows[:he, x] * orbit[x]).reshape(he, n), lattice)
+                for B, part, (a, b) in zip(factors, parts, shapes):
+                    if x < a:
+                        B.T.reshape(a, b, a * b)[x] = part[:b]
             for B in factors:
                 if B.size and dpotrf(B, lower=1, overwrite_a=1)[1] != 0:
                     raise IllConditionedKernelError(
@@ -349,11 +354,6 @@ def _block_product(z, inv):
     for row, y in zip(z.reshape(-1, n), out.reshape(-1, n)):
         dsymv(1.0, inv.T, row, y=y, overwrite_y=1, lower=1)
     return out
-
-
-def _class_sizes(w, h):
-    """Pixels in the four parity classes of a w x h lattice, in `_fold`'s order."""
-    return [a * b for a in ((w + 1) // 2, w // 2) for b in ((h + 1) // 2, h // 2)]
 
 
 def _mirror_fold(a):

@@ -79,7 +79,7 @@ from simplexuq import io as sio
 from simplexuq.uq import hdr
 
 same = [getattr(lapack, f) is getattr(_lapack, f) for f in ("dpotrf", "dpotri", "dpotrs", "dtrtri")]
-same += [getattr(blas, f) is getattr(_lapack, f) for f in ("dsymv", "dsyrk", "dtrmm")]
+same += [getattr(blas, f) is getattr(_lapack, f) for f in ("dsymv", "dtrmm")]
 same += [lapack._flapack is _lapack._flapack, blas._fblas is _lapack._fblas]
 samples = np.random.default_rng(3).dirichlet(np.ones(4), size=200)
 region = hdr(samples, 0.32, estimator="latent-kde")
@@ -148,4 +148,4 @@ def test_wrappers_are_scipy_linalg_own_in_either_import_order(first, second):
     # and `.blas` hold every routine, so only code reading those private
     # attributes of scipy.linalg itself would notice.
     code = WRAPPERS_AND_SCIPY_LINALG.format(first=first, second=second)
-    assert run_fresh(code) == "True 9 True (5, 6) 3 2"
+    assert run_fresh(code) == "True 8 True (5, 6) 3 2"

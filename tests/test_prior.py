@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from simplexuq import _lapack, geometry
-from simplexuq import prior as prior_module
 from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
 from simplexuq.interp import PartialObservation
@@ -514,8 +513,9 @@ def test_gram_peak_memory_is_three_matrices():
     # space) a build peaks at three N x N arrays at most and keeps the
     # factor. The first solve on this lattice, above the crossover, forms
     # the four parity blocks of the precision, a quarter of N x N, from
-    # panels of the factor's columns whose folds add under a sixth of
-    # N x N. The in-place test below holds a build to one array.
+    # panels of rows of L L^T (one x column of representatives, 12 rows)
+    # that with their folds add about a ninth of N x N. The in-place test
+    # below holds a build to one array.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
@@ -538,7 +538,7 @@ def test_gram_peak_memory_is_three_matrices():
 
 def test_first_lattice_solve_allocates_no_full_size_array():
     # At 32 x 32 the dense precision would be one 8 MB array; the blocks
-    # are one 2 MB array and the folds of each panel of the factor 128 KiB.
+    # are one 2 MB array and each panel of rows of L L^T 128 KiB.
     gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=10.0))
     nbytes = gram.chol.nbytes
     tracemalloc.start()
@@ -726,10 +726,11 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
 @example(w=21, h=23, length_scale=10.0)  # odd by odd, above it
 @example(w=40, h=40, length_scale=10.0)
 def test_lattice_block_product_matches_the_dense_precision(w, h, length_scale):
-    # The parity blocks give the product of the dense dpotri precision of
-    # the same factor; the factor's other uses do not see the lattice. The
-    # length scales are the pipeline's (10 px in the paper and in repro):
-    # both products err by about cond(K_U) eps, which grows with it.
+    # The parity blocks, formed from the factor's first row, give the product
+    # of the dense dpotri precision of the same factor; the factor's other
+    # uses do not see the lattice. The length scales are the pipeline's (10 px in the
+    # paper and in repro): both products err by about cond(K_U) eps, which
+    # grows with it.
     gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=length_scale))
     dense = GramMatrix(gram.chol, gram.applied_jitter)
     assert gram._lattice == (w, h) and dense._lattice is None
@@ -769,14 +770,32 @@ def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned(monkeypatch):
-    # The odd class of this 1 x 2 lattice is the row difference (0, -1e-200)
-    # of the factor, whose square underflows to 0: no block factor exists,
-    # and the first solve raises instead of forming a precision.
-    monkeypatch.setattr(prior_module, "_SYMV_MIN_PIXELS", 2)
-    gram = GramMatrix(np.array([[1.0, 0.0], [1.0, 1e-200]]), 0.0, (1, 2))
+def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned():
+    # The kernel of this 1 x 600 strip factors with no jitter, but its even
+    # parity block, 2 (K_U V_c)[representatives], has an eigenvalue near
+    # -5e-13: the first solve raises instead of forming a precision.
+    gram = build_gram(sio.make_grid(1, 600), KernelSpec(length_scale=1e15))
+    assert gram.applied_jitter == 0.0 and gram._lattice == (1, 600)
     with pytest.raises(IllConditionedKernelError, match="block of the precision"):
-        gram._rsolve(np.ones(2))
+        gram._rsolve(np.ones(600))
+
+
+@pytest.mark.parametrize("side", [24, 32])
+def test_lattice_blocks_carry_the_jitter_of_the_factor(side):
+    # These kernels factor only with jitter 1e-10, which each block carries
+    # times its orbit sizes. K_U then has a condition number near 1e13, so
+    # any two solves differ by about cond(K_U) eps (here ~1e-4 relative,
+    # for this route and for the factor route it replaced): the gate is each
+    # solve's normwise backward error against L L^T, which is about eps.
+    gram = build_gram(sio.make_grid(side, side), KernelSpec(length_scale=1e15))
+    assert gram.applied_jitter == 1e-10
+    K = gram.matrix
+    Zc = np.random.default_rng(side).standard_normal((3, side * side))
+    got, want = gram._rsolve(Zc), GramMatrix(gram.chol, gram.applied_jitter)._rsolve(Zc)
+    assert gram._blocks[0] == (side, side)
+    for X in (got, want):
+        assert np.linalg.norm(X @ K - Zc) <= 1e-15 * np.linalg.norm(K, 2) * np.linalg.norm(X)
+    assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
