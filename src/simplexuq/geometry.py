@@ -144,12 +144,20 @@ def ilr(a, basis=None):
     return clr(a) @ H
 
 
-def softmax(w):
-    """Numerically stable softmax along the last axis."""
+def softmax(w, out=None):
+    """Numerically stable softmax along the last axis, written into ``out``
+    when given (which may be ``w`` itself); both forms give the same bits."""
     w = np.asarray(w, dtype=float)
-    shifted = w - np.maximum.reduce(w, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    m = np.maximum.reduce(w, axis=-1, keepdims=True)
+    if out is None:
+        # On tiny arrays the operators cost less than calls with ``out``:
+        # in place, fig2's chain (one (1, P) softmax a step) ran 1 % slower.
+        e = np.exp(w - m)
+        return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = np.subtract(w, m, out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 # Strict-interior floor for ilr_inv: far above the smallest double but small
@@ -157,15 +165,15 @@ def softmax(w):
 _SOFTMAX_FLOOR = 1e-300
 
 
-def interior_softmax(w):
+def interior_softmax(w, out=None):
     """Softmax with each component floored at 1e-300, so the result is
-    strictly interior.
+    strictly interior; written into ``out`` when given, as by `softmax`.
 
     The floor acts per component and nothing is renormalised: adding 1e-300
     cannot change a sum near 1, so the result still sums to 1 within 1e-12,
     and each vector of a stack comes out as it would alone.
     """
-    a = softmax(w)
+    a = softmax(w, out)
     return np.maximum(a, _SOFTMAX_FLOOR, out=a)
 
 

@@ -44,6 +44,10 @@ _ROW_BLOCK_ENTRIES = 2**14
 # then adds little to the peak, and its exponentials little to the time.
 _LATTICE_SHARE = 8
 
+# Side of the panels an inverted precision block is mirrored by: a panel's
+# transposed copy then writes runs of 64 contiguous entries per column.
+_MIRROR_PANEL = 64
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -288,12 +292,18 @@ class GramMatrix:
                         f"a {len(B)}x{len(B)} block of the precision is not positive definite"
                     )
         blocks = []
+        upper = np.tri(_MIRROR_PANEL, k=-1, dtype=bool).T
         for F in factors:
             inv = dpotri(F, lower=1, overwrite_c=F.flags.writeable)[0] if F.size else F
-            # dpotri fills the lower triangle; mirror it into the upper one,
-            # in place. The symmetric F-ordered array, transposed, is C-ordered.
-            for j in range(len(inv) - 1):
-                inv[j, j + 1 :] = inv[j + 1 :, j]
+            # dpotri fills the lower triangle; mirror it into the upper one in
+            # place, a panel of rows at a time: the diagonal tile by one masked
+            # copy, the rest of the panel by one transposed copy. The symmetric
+            # F-ordered array, transposed, is C-ordered.
+            for p in range(0, len(inv), _MIRROR_PANEL):
+                e = min(p + _MIRROR_PANEL, len(inv))
+                tile = inv[p:e, p:e]
+                np.copyto(tile, tile.T.copy(), where=upper[: e - p, : e - p])
+                inv[p:e, e:] = inv[e:, p:e].T
             inv.setflags(write=False)
             blocks.append(inv.T)
         return lattice, blocks

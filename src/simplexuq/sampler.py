@@ -21,6 +21,7 @@ simplex.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -277,56 +278,114 @@ def _initial_latent(model, cfg, rng):
 
 
 # Noise is drawn and kept states are buffered a block of steps at a time;
-# a block holds at most this many steps and this many doubles per buffer.
-_BLOCK_STEPS = 1024
-_BLOCK_DOUBLES = 1 << 13
+# a block is as many whole steps as fit in this many doubles, and at least one.
+_BLOCK_DOUBLES = 1 << 14
 
 
-def _langevin(state, x, cfg, rng, images, project=None):
+def _langevin(state, x, cfg, rng, image_shape, images, project=None):
     """Unadjusted Langevin from ``x``: the loop both samplers share.
 
     Update: x <- x - step * grad U(x) + sqrt(2 step) * noise, then
     ``project`` when given. ``state(x)`` returns U(x) and its gradient.
-    Kept states are buffered a block at a time and ``images`` maps each
-    buffer, a stack of states, to a stack of abundance images. The noise of
-    a block is drawn at once, which gives the same numbers as one draw per
-    step. Returns the kept images and the energy trace.
+    Kept states are buffered a block at a time and ``images(states, out)``
+    writes the abundance images of each buffer, a stack of states, into
+    ``out``, their rows of the kept images. The noise of a block is drawn
+    at once, which gives the same numbers as one draw per step. Returns the
+    kept images, an (n_kept,) + ``image_shape`` array, and the energy trace.
+
+    The loop runs on two threads, so a chain uses two cores and its CPU
+    time exceeds its wall time. While this thread runs block k, one helper
+    thread draws block k+1's noise into the other of two noise buffers and
+    maps block k-1's kept states, in the other of two state buffers, into
+    the kept images. Only the helper touches ``rng`` once the first block
+    is drawn, and it draws the blocks in order, so the chain has the bits
+    of a loop on one thread. The helper is joined on every exit; an
+    exception it raises is raised again here at the end of the block it
+    overlapped, unless this thread raised first.
     """
     gamma = cfg.step_size
     noise_scale = math.sqrt(2.0 * gamma)
     n_steps, burn_in, thinning = cfg.n_steps, cfg.burn_in, cfg.thinning
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_DOUBLES // x.size))
-    noise = np.empty((block,) + x.shape)
-    states = np.empty((block,) + x.shape)
+    block = max(1, _BLOCK_DOUBLES // x.size)
+    n_blocks = -(-n_steps // block)
+    noise = np.empty((2, block) + x.shape)
+    states = np.empty((2, block) + x.shape)
     kept = None
-    n_kept = 0
     energy = np.empty(n_steps + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, block):
-            stop = min(start + block, n_steps)
-            eps = noise[: stop - start]
-            rng.standard_normal(out=eps)
-            eps *= noise_scale
-            n_buf = 0
-            for t in range(start, stop):
-                U, G = state(x)
-                energy[t] = U
-                if not math.isfinite(U):
-                    raise DivergenceError(t)
-                x = x - gamma * G
-                x += eps[t - start]
-                if project is not None:
-                    x = project(x)
-                if t >= burn_in and (t - burn_in) % thinning == 0:
-                    states[n_buf] = x
-                    n_buf += 1
-            if n_buf:
-                imgs = images(states[:n_buf])
-                if kept is None:
-                    kept = np.empty((cfg.n_kept,) + imgs.shape[1:])
-                kept[n_kept : n_kept + n_buf] = imgs
-                n_kept += n_buf
-        energy[-1] = state(x)[0]
+
+    def n_kept_before(t):  # kept steps among the first t
+        return max(0, -((burn_in - t) // thinning))
+
+    def draw(k):
+        eps = noise[k % 2, : min(block, n_steps - k * block)]
+        rng.standard_normal(out=eps)
+        eps *= noise_scale
+
+    def keep(k):
+        nonlocal kept
+        first = n_kept_before(k * block)
+        end = n_kept_before(min(k * block + block, n_steps))
+        if end > first:
+            # Allocated before the chain, it made a cold 32x32 exponential
+            # chain about 0.7 ms slower.
+            if kept is None:
+                kept = np.empty((cfg.n_kept,) + image_shape)
+            images(states[k % 2, : end - first], kept[first:end])
+
+    # Round k: this thread runs block k (the last round, the final energy)
+    # while the helper draws block k+1 and keeps block k-1.
+    work, done = threading.Semaphore(0), threading.Semaphore(0)
+    stopping = False
+    failure = []
+
+    def helper():
+        try:  # np.errstate is per thread
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(n_blocks + 1):
+                    work.acquire()
+                    if stopping:
+                        return
+                    if k + 1 < n_blocks:
+                        draw(k + 1)
+                    if k:
+                        keep(k - 1)
+                    done.release()
+        except BaseException as exc:  # raised again by the caller
+            failure.append(exc)
+            done.release()
+
+    draw(0)
+    thread = threading.Thread(target=helper, name="langevin-helper", daemon=True)
+    thread.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_blocks + 1):
+                work.release()
+                if k == n_blocks:
+                    energy[-1] = state(x)[0]
+                else:
+                    start = k * block
+                    eps, buf = noise[k % 2], states[k % 2]
+                    n_buf = 0
+                    for t in range(start, min(start + block, n_steps)):
+                        U, G = state(x)
+                        energy[t] = U
+                        if not math.isfinite(U):
+                            raise DivergenceError(t)
+                        x = x - gamma * G
+                        x += eps[t - start]
+                        if project is not None:
+                            x = project(x)
+                        if t >= burn_in and (t - burn_in) % thinning == 0:
+                            buf[n_buf] = x
+                            n_buf += 1
+                done.acquire()
+                if failure:
+                    raise failure[0]
+    finally:
+        stopping = True
+        work.release()
+        thread.join()
     if not math.isfinite(energy[-1]):
         raise DivergenceError(n_steps)
     return kept, energy
@@ -348,10 +407,12 @@ def mirror_langevin(model, cfg):
     Z = _initial_latent(model, cfg, rng)
     H = model._H
 
-    def images(Zs):  # (M, P-1, N) -> (M, P, N), softmax over the parts
-        return np.swapaxes(geometry.interior_softmax(np.swapaxes(H @ Zs, 1, 2)), 1, 2)
+    def images(Zs, out):  # (M, P-1, N) -> (M, P, N), softmax over the parts
+        w = np.swapaxes(np.matmul(H, Zs, out=out), 1, 2)
+        geometry.interior_softmax(w, out=w)
 
-    kept, energy = _langevin(lambda Z: _latent_state(Z, model), Z, cfg, rng, images)
+    shape = (model.P, model.n_pixels)
+    kept, energy = _langevin(lambda Z: _latent_state(Z, model), Z, cfg, rng, shape, images)
     return SampleChain(kept, energy, "mirror-langevin", cfg)
 
 
@@ -424,7 +485,8 @@ def projected_ula(model, cfg):
         A,
         cfg,
         rng,
-        images=lambda As: As,
+        A.shape,
+        images=lambda As, out: np.copyto(out, As),
         project=lambda A: geometry.closure(_project_columns(A).T).T,
     )
     return SampleChain(kept, energy, "projected-ula", cfg)

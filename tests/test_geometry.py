@@ -313,6 +313,9 @@ def test_interior_softmax_each_floors_per_stacked_image(P):
         assert np.array_equal(got[i], interior_softmax(W[i]))
     floored = got.min(axis=(1, 2)) < 1e-299
     assert list(floored) == [False, True, False, True]
+    # written in place, as the sampler writes its kept images
+    assert interior_softmax(W, out=W) is W
+    assert np.array_equal(W, got)
 
 
 @given(

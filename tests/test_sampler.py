@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -297,7 +299,9 @@ def test_project_simplex_rejects_nonfinite():
 def test_mirror_langevin_seed_determinism_and_constraints():
     model, _ = make_model(snr_db=15.0)
     cfg = SamplerConfig(step_size=1e-3, n_steps=400, burn_in=100, seed=3)
+    threads = threading.active_count()
     c1 = mirror_langevin(model, cfg)
+    assert threading.active_count() == threads
     c2 = mirror_langevin(model, cfg)
     assert np.array_equal(c1.abundances, c2.abundances)
     assert np.array_equal(c1.energy_trace, c2.energy_trace)
@@ -328,8 +332,10 @@ def test_mirror_langevin_gradient_descent_hook():
 def test_mirror_langevin_divergence_error():
     model, _ = make_model(snr_db=25.0)
     cfg = SamplerConfig(step_size=100.0, n_steps=5000, burn_in=100, seed=5)
+    threads = threading.active_count()
     with pytest.raises(DivergenceError) as err:
         mirror_langevin(model, cfg)
+    assert threading.active_count() == threads
     assert err.value.step >= 0
     assert "step_size" in str(err.value)
 
@@ -552,11 +558,18 @@ BLOCK_CASES = [
 ]
 
 
+def seven_step_blocks(monkeypatch, sampler, model):
+    """Size the loop's buffers to blocks of 7 steps of the sampler's state:
+    the (P-1, N) latent matrix or the (P, N) image."""
+    rows = model.P - 1 if sampler is mirror_langevin else model.P
+    monkeypatch.setattr(sampler_module, "_BLOCK_DOUBLES", 7 * rows * model.n_pixels)
+
+
 @pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
 def test_block_loop_matches_reference_loop_dirac(sampler, monkeypatch):
     model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
     step = 1e-3 if sampler is mirror_langevin else 5e-5
-    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
+    seven_step_blocks(monkeypatch, sampler, model)
     for n_steps, burn_in, thinning in BLOCK_CASES:
         cfg = SamplerConfig(step_size=step, n_steps=n_steps, burn_in=burn_in,
                             thinning=thinning, seed=n_steps)
@@ -592,8 +605,9 @@ def check_block_loop_against_reference(sampler, model, reference):
 
 @pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
 def test_block_loop_matches_reference_loop_exponential_with_mean(sampler, monkeypatch):
-    monkeypatch.setattr(sampler_module, "_BLOCK_STEPS", 7)
-    check_block_loop_against_reference(sampler, exponential_model_with_mean(3, 3), reference_chain)
+    model = exponential_model_with_mean(3, 3)
+    seven_step_blocks(monkeypatch, sampler, model)
+    check_block_loop_against_reference(sampler, model, reference_chain)
 
 
 def matmul_reference_chain(sampler, model, cfg):
@@ -625,16 +639,19 @@ def test_block_loop_matches_matmul_reference_above_symv_crossover(sampler):
 
 def test_block_loop_diverges_at_the_matmul_reference_step_above_symv_crossover():
     cfg = SamplerConfig(step_size=100.0, n_steps=500, burn_in=100, seed=5)
+    threads = threading.active_count()
     for model in models_above_symv_crossover():
         with pytest.raises(DivergenceError) as want:
             matmul_reference_chain(mirror_langevin, model, cfg)
         with pytest.raises(DivergenceError) as got:
             mirror_langevin(model, cfg)
         assert got.value.step == want.value.step
+        assert threading.active_count() == threads
 
 
 def test_block_loop_matches_reference_loop_default_blocks():
-    # 2500 steps of a 2 x 16 state: blocks of 256 steps, the last one partial
+    # 2500 steps of a 2 x 16 (3 x 16) state: blocks of 512 (341) steps,
+    # the last one partial
     model, _ = make_model(w=4, h=4, snr_db=15.0, kind="dirac")
     for sampler, step in ((mirror_langevin, 1e-3), (projected_ula, 5e-5)):
         cfg = SamplerConfig(step_size=step, n_steps=2500, burn_in=500, thinning=3, seed=4)
@@ -668,11 +685,64 @@ def test_block_loop_keeps_the_per_image_softmax_floor():
 def test_block_loop_diverges_at_the_reference_step():
     model, _ = make_model(snr_db=25.0)
     cfg = SamplerConfig(step_size=100.0, n_steps=5000, burn_in=100, seed=5)
+    threads = threading.active_count()
     with pytest.raises(DivergenceError) as want:
         reference_chain(mirror_langevin, model, cfg)
     with pytest.raises(DivergenceError) as got:
         mirror_langevin(model, cfg)
     assert got.value.step == want.value.step
+    assert threading.active_count() == threads
+
+
+def test_exception_mapping_kept_states_reaches_the_caller(monkeypatch):
+    # the helper thread maps kept states to images; what it raises is raised
+    # again in the caller, and the helper does not outlive the call
+    model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
+    seven_step_blocks(monkeypatch, mirror_langevin, model)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("softmax failed")
+
+    monkeypatch.setattr(geometry, "interior_softmax", fail)
+    cfg = SamplerConfig(step_size=1e-3, n_steps=45, burn_in=10, seed=2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="softmax failed"):
+        mirror_langevin(model, cfg)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_chains_match_sequential_chains(monkeypatch):
+    # three callers at once, each with its own helper: more threads than
+    # cores, blocks of 7 steps and a short switch interval, so the loops
+    # hand over often; each chain must keep the bytes it has alone
+    model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
+    seven_step_blocks(monkeypatch, mirror_langevin, model)
+    cfgs = [SamplerConfig(step_size=1e-3, n_steps=300, burn_in=50, thinning=2, seed=s)
+            for s in (7, 8, 9)]
+    want = [mirror_langevin(model, cfg) for cfg in cfgs]
+    got = [None] * len(cfgs)
+    start = threading.Barrier(len(cfgs))
+
+    def run(i):
+        start.wait()
+        got[i] = mirror_langevin(model, cfgs[i])
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    for a, b in zip(got, want):
+        assert np.array_equal(a.abundances, b.abundances)
+        assert np.array_equal(a.energy_trace, b.energy_trace)
 
 
 def test_models_and_chains_compare_and_hash_by_identity():
