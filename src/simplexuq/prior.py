@@ -11,8 +11,8 @@ measure on the first P-1 components of each pixel.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +43,11 @@ _ROW_BLOCK_ENTRIES = 2**14
 # pixel offsets has at most 1/8 as many entries as the result: the table
 # then adds little to the peak, and its exponentials little to the time.
 _LATTICE_SHARE = 8
+
+# The parity blocks of an N-pixel lattice are filled from panels of at most
+# N / _PANEL_SHARE representatives' rows of K_U: a panel and its folds add
+# about 1/32 of N x N to the quarter of it that the blocks hold.
+_PANEL_SHARE = 128
 
 # Side of the panels an inverted precision block is mirrored by: a panel's
 # transposed copy then writes runs of 64 contiguous entries per column.
@@ -180,37 +185,45 @@ def _sum_squared_differences(C1, C2, out, sq):
         out += sq
 
 
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Positive-definite spatial Gram matrix K_U, held as its Cholesky factor.
+    """Positive-definite spatial Gram matrix K_U and its products.
 
-    ``chol`` is one of two kinds of factor:
+    ``GramMatrix(chol, applied_jitter=0.0)`` holds a Cholesky factor: for a
+    dense kernel (exponential), the lower (N, N) factor, stored
+    column-major; for a diagonal kernel (dirac), the (N,) vector of square
+    roots of the diagonal, so memory and each solve are O(N).
 
-    - for a dense kernel (exponential), the lower factor, an (N, N) array
-      stored column-major; the one ``build_gram`` returns is the kernel
-      matrix itself, factored in place, and is kept without a copy;
-    - for a diagonal kernel (dirac), the (N,) vector of square roots of the
-      diagonal, so memory and the time of each solve are O(N).
+    On the row-major w x h lattice of ``io.make_grid``, ``build_gram``
+    factors nothing for a dense kernel: a stationary kernel on a lattice
+    takes one value per pixel offset (Dietrich & Newsam 1997), so the
+    operator holds the lattice and the kernel's first row, the corner
+    pixel's covariance with every pixel (N values). From that row it forms
+    the precision on the first solve, and the dense factor on the first
+    use of ``chol``, ``sqrt_matvec``, ``log_det`` or ``matrix``: the kernel
+    matrix, filled by offset lookup and factored in place. A chain that
+    never draws from the prior never pays its N^2 doubles and N^3/3 flops.
+    Whichever forms first runs the jitter ladder (none, then 1e-10 up to
+    1e-4 times sigma_k2 on the diagonal); the other reuses that jitter and
+    raises ``IllConditionedKernelError`` if it does not factor there. So
+    such an operator raises at first use, not in ``build_gram``.
+    ``applied_jitter`` is that jitter (0.0 when none was needed; a factor
+    built by hand carries the one it is given); read before either forms,
+    it forms the precision. One lock per operator serialises the forming,
+    so instances are safe to share across threads: each representation
+    forms once, and both carry one jitter. What an instance represents
+    never changes; instances compare and hash by identity.
 
-    ``chol`` serves prior draws, initial states and ``log_det``. A diagonal
-    solve divides the right-hand side by ``chol`` twice, so a unit diagonal
-    returns it unchanged. A dense solve multiplies by the precision
-    K_U^{-1} instead of running two triangular solves. The precision is
-    formed from ``chol`` on the first solve, so an operator used only for
-    prior draws never pays for it, and is then kept as full, symmetric,
-    C-ordered, read-only blocks. ``matrix``, the Gram matrix itself (with
-    the kernel amplitude sigma_k2 on its diagonal), is not stored: each
-    access recomputes it as ``chol @ chol.T``, or as the (N,) diagonal
-    ``chol * chol``. ``applied_jitter`` records the diagonal boost that
-    made the Cholesky succeed (0.0 when none was needed). Instances are
-    immutable and safe to share across threads (two threads that solve
-    first may both form the same precision); they compare and hash by
-    identity.
+    A diagonal solve divides the right-hand side by ``chol`` twice, so a
+    unit diagonal returns it unchanged. A dense solve multiplies by the
+    precision K_U^{-1}, kept as full, symmetric, C-ordered, read-only
+    blocks, instead of running two triangular solves. ``matrix``, K_U
+    itself (with sigma_k2 on its diagonal), is not stored: each access
+    recomputes it as ``chol @ chol.T``, or as the (N,) diagonal
+    ``chol * chol``.
 
-    On the row-major w x h lattice of ``io.make_grid`` (``build_gram``
-    records it), a kernel that depends only on |dx| and |dy| commutes with
-    the x- and y-reflections of the lattice, so K_U is block-diagonal in
-    the four even/odd parity classes of the two reflections: the
+    On the lattice, a kernel that depends only on |dx| and |dy| commutes
+    with the x- and y-reflections of the lattice, so K_U is block-diagonal
+    in the four even/odd parity classes of the two reflections: the
     centrosymmetric splitting of Cantoni & Butler 1976 (Linear Algebra
     Appl. 13:275), once per axis. For a basis V_c of class c, built from
     unnormalised +-1 folds of mirrored pixels (the centre row or column of
@@ -219,10 +232,10 @@ class GramMatrix:
     pixels x < w/2, y < h/2 (rounded up), whose orbits hold 1, 2 or 4
     pixels. From ``_SYMV_MIN_PIXELS`` pixels on, a lattice operator keeps
     these four blocks, a quarter of the dense precision's bytes, formed in
-    O(N^2) from the first row of L L^T (the kernel at every offset, jitter
-    included), and a product folds the right-hand side into the classes,
-    multiplies each by its block and unfolds the result. Any other dense
-    operator keeps one block, V = I, whose factor is ``chol`` itself.
+    O(N^2) from the kernel's first row (jitter included), and a product
+    folds the right-hand side into the classes, multiplies each by its
+    block and unfolds the result. Any other dense operator keeps one
+    block, V = I, whose factor is ``chol`` itself.
 
     A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -233,13 +246,11 @@ class GramMatrix:
     row, with its call overhead and slower kernel.
     """
 
-    chol: np.ndarray
-    applied_jitter: float = 0.0
-    # (width, height) of the row-major lattice the pixels fill, or None
-    _lattice: tuple | None = field(default=None, repr=False)
+    # what a lattice operator has not formed yet, and what others do not have
+    _chol = _jitter = _precision = _row = _lattice = None
 
-    def __post_init__(self):
-        chol = np.asfortranarray(self.chol, dtype=float)
+    def __init__(self, chol, applied_jitter=0.0):
+        chol = np.asfortranarray(chol, dtype=float)
         if chol.ndim not in (1, 2) or chol.shape != (len(chol),) * chol.ndim or not np.all(np.isfinite(chol)):
             raise ValueError("Cholesky factor must be a finite square matrix or vector")
         if not np.all((chol if chol.ndim == 1 else np.diag(chol)) != 0.0):
@@ -249,48 +260,81 @@ class GramMatrix:
         # by column: chol[:j, j] is contiguous in the F-ordered factor.
         if chol.ndim == 2 and any(chol[:j, j].any() for j in range(1, len(chol))):
             raise ValueError("Cholesky factor must be lower triangular")
-        if self._lattice is not None and (chol.ndim != 2 or math.prod(self._lattice) != len(chol)):
-            raise ValueError(f"a {self._lattice} lattice for a factor of shape {chol.shape}")
-        object.__setattr__(self, "chol", chol)
         chol.setflags(write=False)
+        self._chol, self._jitter, self._lock = chol, applied_jitter, threading.RLock()
 
-    @cached_property
+    @classmethod
+    def _from_row(cls, row, lattice):
+        """The operator of the stationary kernel whose corner pixel on the
+        (width, height) lattice has covariance ``row`` with every pixel."""
+        row.setflags(write=False)
+        gram = cls.__new__(cls)
+        gram._row, gram._lattice, gram._lock = row, lattice, threading.RLock()
+        return gram
+
+    def _formed(self, name, form):
+        """Attribute ``name``, set to form() under the lock the first time."""
+        value = getattr(self, name)
+        if value is None:
+            with self._lock:
+                value = getattr(self, name)
+                if value is None:
+                    value = form()
+                    setattr(self, name, value)
+        return value
+
+    @property
+    def chol(self):
+        """The Cholesky factor; a lattice operator forms it on first use."""
+        return self._formed("_chol", self._form_factor)
+
+    @property
+    def applied_jitter(self):
+        """The jitter on K_U's diagonal; forms the precision if nothing has formed."""
+        if self._jitter is None:
+            self._blocks
+        return self._jitter
+
+    @property
     def _blocks(self):
         """K_U^{-1} as (lattice, blocks): the lattice the solves fold over
         (None for the one class V = I) and each class's B_c^{-1}, full,
         symmetric, C-ordered and read-only."""
+        return self._formed("_precision", self._form_precision)
+
+    def _form_factor(self):
+        """The lower factor of the lattice kernel matrix, filled from the row."""
+        w, h = self._lattice
+        n = w * h
+        rows = _offset_rows(self._row, self._lattice)
+
+        def make_K():
+            K = np.empty((n, n))
+            np.copyto(K.reshape(h, w, h, w), rows)
+            return K
+
+        L, self._jitter = _cholesky_with_jitter(make_K, float(self._row[0]), self._jitter)
+        L.setflags(write=False)
+        return L
+
+    def _form_precision(self):
         from ._lapack import dpotrf, dpotri
 
-        n = len(self.chol)
-        lattice = self._lattice if n >= _SYMV_MIN_PIXELS else None
+        lattice = self._lattice if self.n_pixels >= _SYMV_MIN_PIXELS else None
         if lattice is None:
             # B = K_U, whose factor is chol; dpotri copies the read-only factor
             factors = [self.chol]
         else:
-            w, h = lattice
-            we, he = (w + 1) // 2, (h + 1) // 2
-            shapes = [(a, b) for a in (we, w // 2) for b in (he, h // 2)]
-            sizes = [a * b for a, b in shapes]
-            # One allocation of N^2/4 entries beside the factor holds the blocks, and is freed whole.
-            ends = np.cumsum([m * m for m in sizes])
-            store = np.zeros(ends[-1])
-            factors = [store[e - m * m : e].reshape(m, m, order="F") for m, e in zip(sizes, ends)]
-            # Row 0 of L L^T holds K_U at each |dy|, |dx|; mirrored, pixel (x, y)'s row is rows[y, x].
-            corner = (self.chol[0, 0] * self.chol[:, 0]).reshape(h, w)
-            table = corner[abs(np.arange(1 - h, h))][:, abs(np.arange(1 - w, w))]
-            rows = np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
-            # B_c = diag(|orbit|) (K_U V_c)[representatives]; the even fold of ones counts each orbit.
-            orbit = _fold(np.ones(n), lattice)[0].reshape(we, he, 1, 1)
-            for x in range(we):
-                parts = _fold((rows[:he, x] * orbit[x]).reshape(he, n), lattice)
-                for B, part, (a, b) in zip(factors, parts, shapes):
-                    if x < a:
-                        B.T.reshape(a, b, a * b)[x] = part[:b]
-            for B in factors:
-                if B.size and dpotrf(B, lower=1, overwrite_a=1)[1] != 0:
-                    raise IllConditionedKernelError(
-                        f"a {len(B)}x{len(B)} block of the precision is not positive definite"
-                    )
+            for jit in _jitter_ladder(float(self._row[0]), self._jitter):
+                factors = _parity_blocks(self._row, jit, lattice)
+                if all(dpotrf(B, lower=1, overwrite_a=1)[1] == 0 for B in factors if B.size):
+                    break
+                factors = None  # one set of blocks at a time
+            else:
+                raise IllConditionedKernelError(
+                    f"a block of the precision is not positive definite even with jitter {jit:g}"
+                )
+            self._jitter = jit
         blocks = []
         upper = np.tri(_MIRROR_PANEL, k=-1, dtype=bool).T
         for F in factors:
@@ -318,18 +362,18 @@ class GramMatrix:
 
     @property
     def n_pixels(self):
-        return self.chol.shape[0]
+        return len(self._chol if self._row is None else self._row)
 
     def _rsolve(self, Zc):
         """Zc K_U^{-1} over the last axis of Zc."""
-        chol = self.chol
-        n = Zc.shape[-1]
+        n = self.n_pixels
         # A row of the wrong length would broadcast against a diagonal factor,
         # and dsymv would silently use only the first n_pixels entries of a
         # longer row.
-        if n != len(chol):
-            raise ValueError(f"right-hand side of shape {Zc.shape} for {len(chol)} pixels")
-        if chol.ndim == 1:
+        if Zc.shape[-1] != n:
+            raise ValueError(f"right-hand side of shape {Zc.shape} for {n} pixels")
+        chol = self._chol
+        if chol is not None and chol.ndim == 1:
             return Zc / chol / chol
         lattice, blocks = self._blocks
         parts = _fold(Zc, lattice)
@@ -349,6 +393,44 @@ class GramMatrix:
         if self.chol.ndim == 1:
             return E * self.chol
         return E @ self.chol.T
+
+
+def _offset_rows(row, lattice):
+    """The rows of the stationary matrix whose corner pixel's row is ``row``,
+    as an (h, w, h, w) view of one (2h-1, 2w-1) table of the kernel at each
+    offset: pixel (x, y)'s row is [y, x]."""
+    w, h = lattice
+    corner = row.reshape(h, w)
+    table = corner[abs(np.arange(1 - h, h))][:, abs(np.arange(1 - w, w))]
+    return np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
+
+
+def _parity_blocks(row, jit, lattice):
+    """Each parity class's B_c = diag(|orbit|) (K_U V_c)[representatives],
+    for K_U the stationary matrix of ``row`` with ``jit`` on its diagonal:
+    F-ordered views of one allocation of N^2/4 entries, freed whole."""
+    w, h = lattice
+    n = w * h
+    we, he = (w + 1) // 2, (h + 1) // 2
+    shapes = [(a, b) for a in (we, w // 2) for b in (he, h // 2)]
+    sizes = [a * b for a, b in shapes]
+    ends = np.cumsum([m * m for m in sizes])
+    store = np.zeros(ends[-1])
+    factors = [store[e - m * m : e].reshape(m, m, order="F") for m, e in zip(sizes, ends)]
+    corner = row.copy()
+    corner[0] += jit
+    rows = _offset_rows(corner, lattice)
+    # the even fold of ones counts each orbit
+    orbit = _fold(np.ones(n), lattice)[0].reshape(we, he, 1, 1)
+    k = max(1, n // _PANEL_SHARE)
+    for x in range(we):
+        for y in range(0, he, k):
+            e = min(y + k, he)
+            parts = _fold((rows[y:e, x] * orbit[x, y:e]).reshape(e - y, n), lattice)
+            for B, part, (a, b) in zip(factors, parts, shapes):
+                if x < a and y < b:
+                    B.T.reshape(a, b, a * b)[x, y:e] = part[: b - y]
+    return factors
 
 
 def _block_product(z, inv):
@@ -421,9 +503,22 @@ def _unfold(parts, lattice):
     return _mirror_unfold(*x).reshape(lead + (w * h,))
 
 
-def _cholesky_with_jitter(make_K, scale):
-    """Factor make_K() in place: with no jitter first, then escalating
-    diagonal jitter from 1e-10*scale to 1e-4*scale.
+def _jitter_ladder(scale, jitter=None):
+    """The diagonal jitters to factor with, in turn: ``jitter`` alone when
+    an operator has one, else none and then 1e-10*scale up to 1e-4*scale."""
+    if jitter is not None:
+        return [jitter]
+    jitters = [0.0]
+    j = _JITTER_START * scale
+    while j <= _JITTER_MAX * scale * (1 + 1e-9):
+        jitters.append(j)
+        j *= 10.0
+    return jitters
+
+
+def _cholesky_with_jitter(make_K, scale, jitter=None):
+    """Factor make_K() in place, with each jitter of `_jitter_ladder` on its
+    diagonal in turn until one succeeds; returns the factor and its jitter.
 
     ``make_K`` returns a new, exactly symmetric, C-ordered matrix on each
     call. LAPACK ``dpotrf`` factors its transpose, which equals it and is
@@ -434,12 +529,7 @@ def _cholesky_with_jitter(make_K, scale):
     """
     from ._lapack import dpotrf
 
-    jitters = [0.0]
-    j = _JITTER_START * scale
-    while j <= _JITTER_MAX * scale * (1 + 1e-9):
-        jitters.append(j)
-        j *= 10.0
-    for jit in jitters:
+    for jit in _jitter_ladder(scale, jitter):
         K = make_K()
         n = len(K)
         K.reshape(-1)[:: n + 1] += jit
@@ -447,9 +537,7 @@ def _cholesky_with_jitter(make_K, scale):
         if info == 0:
             return L, jit
         del K, L
-    raise IllConditionedKernelError(
-        f"Cholesky failed for a {n}x{n} Gram matrix even with jitter {_JITTER_MAX * scale:g}"
-    )
+    raise IllConditionedKernelError(f"Cholesky failed for a {n}x{n} Gram matrix even with jitter {jit:g}")
 
 
 def _as_grid(grid):
@@ -464,10 +552,13 @@ def _as_grid(grid):
 def build_gram(grid, kernel):
     """Discretize a spatial kernel on pixel coordinates.
 
-    The exponential kernel matrix is evaluated once and factored in place
-    (LAPACK ``dpotrf``), and the factor is kept without a copy: set-up
-    holds one N x N array. A failed factorization evaluates the kernel
-    again for the next jitter.
+    On the row-major lattice of ``io.make_grid``, the exponential kernel is
+    held as its first row, the corner pixel's covariance with every pixel,
+    and nothing is factored until the operator is used (see
+    `GramMatrix`). On other coordinates the kernel matrix is evaluated
+    once and factored in place (LAPACK ``dpotrf``), and the factor is kept
+    without a copy: set-up holds one N x N array. A failed factorization
+    evaluates the kernel again for the next jitter.
 
     Parameters
     ----------
@@ -486,7 +577,8 @@ def build_gram(grid, kernel):
     ValueError
         If the grid is empty or holds a repeated or non-finite coordinate.
     IllConditionedKernelError
-        If the factorization fails after the maximum jitter.
+        Off the lattice, if the factorization fails after the maximum
+        jitter; a lattice operator raises it at first use instead.
     """
     grid = _as_grid(grid)
     if grid.size == 0:
@@ -498,10 +590,16 @@ def build_gram(grid, kernel):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
+    lattice = _lattice_shape(grid)
+    if lattice is not None:
+        # LAPACK loads here, in set-up, not inside the first step of a chain
+        from . import _lapack  # noqa: F401
+
+        return GramMatrix._from_row(kernel(grid[:1], grid)[0], lattice)
     # kernel(grid, grid) is exactly symmetric: each entry squares a difference
     # and its exact negation
     L, jitter = _cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2)
-    return GramMatrix(L, jitter, _lattice_shape(grid))
+    return GramMatrix(L, jitter)
 
 
 def _lattice_shape(grid):

@@ -236,7 +236,10 @@ class SamplerConfig:
             if self.init not in INIT_MODES:
                 raise ValueError(f"init must be an array or one of {INIT_MODES}")
         else:
-            object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
+            init = np.asarray(self.init, dtype=float)
+            if not np.all(np.isfinite(init)):
+                raise ValueError("init must be finite")
+            object.__setattr__(self, "init", init)
 
     @property
     def n_kept(self):

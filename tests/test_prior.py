@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -425,34 +427,39 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
 
 
 def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
-    # The factor build_gram keeps is the kernel matrix's own memory, and a
-    # build holds one N x N array at a time under tracemalloc, failed
-    # attempts of the jitter ladder included.
+    # The factor an exponential operator keeps is the kernel matrix's own
+    # memory, and forming it holds one N x N array at a time under
+    # tracemalloc, failed attempts of the jitter ladder included. On the
+    # lattice the factor forms at its first use, here a read of `chol`,
+    # from the kernel's first row; off it (the lattice's pixels in reverse
+    # order), in build_gram from the kernel matrix.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
-    kernels = []
-    call = KernelSpec.__call__
+    factored = []
+    dpotrf = _lapack.dpotrf
 
-    def recording(self, U1, U2):
+    def recording(a, **kwargs):
         # the address only: holding a failed attempt's matrix would add it
         # to the peak
-        K = call(self, U1, U2)
-        kernels.append(K.ctypes.data)
-        return K
+        factored.append(a.ctypes.data)
+        return dpotrf(a, **kwargs)
 
-    monkeypatch.setattr(KernelSpec, "__call__", recording)
+    monkeypatch.setattr(_lapack, "dpotrf", recording)
     # The second kernel fails once without jitter, and succeeds with 1e-10.
     for kernel, attempts in ((KernelSpec(length_scale=5.0), 1), (KernelSpec(length_scale=1e15), 2)):
-        kernels.clear()
-        tracemalloc.start()
-        try:
-            gram = build_gram(grid, kernel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(kernels) == attempts and gram.chol.ctypes.data == kernels[-1]
-        assert peak <= 1.2 * nbytes
-        del gram
+        for pixels in (grid, grid[::-1]):
+            factored.clear()
+            tracemalloc.start()
+            try:
+                gram = build_gram(pixels, kernel)
+                L = gram.chol
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (gram._lattice is None) == (pixels is not grid)
+            assert len(factored) == attempts and L.ctypes.data == factored[-1]
+            assert peak <= 1.2 * nbytes
+            del gram, L
     # Eigenvalue -5e-7 at the grid's size: five attempts fail before 1e-6.
     Q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((len(grid), len(grid))))
     K = (Q * np.linspace(-5e-7, 1.0, len(grid))) @ Q.T
@@ -486,12 +493,14 @@ def test_gram_stores_factor_and_precision_only():
     for w, h, n_blocks in ((8, 6, 1), (24, 20, 4)):
         n = w * h
         gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=3.0))
-        # the factor only, until the first solve forms the precision
-        assert set(vars(gram)) == {"chol", "applied_jitter", "_lattice"}
-        assert gram._lattice == (w, h)
+        # the kernel's first row only, until the first solve forms the
+        # precision; the one dense block is the factor's, parity blocks
+        # need no factor
+        assert gram._chol is None and gram._precision is None and gram._jitter is None
+        assert gram._lattice == (w, h) and gram._row.shape == (n,)
         Zc = np.random.default_rng(17).standard_normal((2, n))
         ZcKinv = gram._rsolve(Zc)
-        assert set(vars(gram)) == {"chol", "applied_jitter", "_lattice", "_blocks"}
+        assert gram._precision is not None and (gram._chol is None) == (n_blocks == 4)
         lattice, blocks = gram._blocks
         assert lattice == (None if n_blocks == 1 else (w, h))
         assert len(blocks) == n_blocks and sum(B.size for B in blocks) == n * n // n_blocks
@@ -510,12 +519,12 @@ def test_gram_stores_factor_and_precision_only():
 
 def test_gram_peak_memory_is_three_matrices():
     # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
-    # space) a build peaks at three N x N arrays at most and keeps the
-    # factor. The first solve on this lattice, above the crossover, forms
-    # the four parity blocks of the precision, a quarter of N x N, from
-    # panels of rows of L L^T (one x column of representatives, 12 rows)
-    # that with their folds add about a ninth of N x N. The in-place test
-    # below holds a build to one array.
+    # space) a build peaks at three N x N arrays at most; on this lattice
+    # it keeps the kernel's first row alone. The first solve, above the
+    # crossover, forms the four parity blocks of the precision, a quarter
+    # of N x N, from panels of 4 rows of K_U that with their folds add
+    # about a twentieth of N x N. The in-place test above holds forming the
+    # factor to one array.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
@@ -537,17 +546,43 @@ def test_gram_peak_memory_is_three_matrices():
 
 
 def test_first_lattice_solve_allocates_no_full_size_array():
-    # At 32 x 32 the dense precision would be one 8 MB array; the blocks
-    # are one 2 MB array and each panel of rows of L L^T 128 KiB.
-    gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=10.0))
-    nbytes = gram.chol.nbytes
+    # At 32 x 32 the dense factor or precision would be one 8 MB array; the
+    # build keeps the kernel's first row, 8 KiB, the blocks are one 2 MB
+    # array and each panel of rows of K_U 64 KiB.
+    nbytes = (32 * 32) ** 2 * 8
     tracemalloc.start()
     try:
+        gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=10.0))
         gram._rsolve(np.ones((2, 32 * 32)))
         solved, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * nbytes and solved <= 0.26 * nbytes
+    assert gram._chol is None
+    assert peak < 0.3 * nbytes and solved <= 0.26 * nbytes
+
+
+@pytest.mark.parametrize("sigma_k2", [1.0, 0.37])
+@pytest.mark.parametrize("first", ["blocks", "factor"])
+def test_lattice_factor_and_blocks_formed_from_the_row_keep_the_bits(first, sigma_k2):
+    # In either order, the factor a draw forms is dpotrf of the kernel
+    # matrix, byte for byte, and the blocks are those formed from the
+    # factor's first row: byte for byte when sigma_k2 = 1 and no jitter,
+    # since L[0, 0] = 1; else to within rounding of that row.
+    grid = sio.make_grid(32, 32)
+    kernel = KernelSpec(length_scale=10.0, sigma_k2=sigma_k2)
+    gram = build_gram(grid, kernel)
+    if first == "blocks":
+        gram._rsolve(np.ones(len(grid)))
+    L = gram.chol
+    lattice, blocks = gram._blocks
+    assert gram.applied_jitter == 0.0 and lattice == (32, 32)
+    assert np.array_equal(L, _lapack.dpotrf(kernel(grid, grid), lower=1, clean=1)[0])
+    _, want = GramMatrix._from_row(L[0, 0] * L[:, 0], lattice)._blocks
+    for B, W in zip(blocks, want):
+        if sigma_k2 == 1.0:
+            assert np.array_equal(B, W)
+        else:
+            assert np.max(np.abs(B - W)) <= 1e-13 * np.max(np.abs(W))
 
 
 def test_kernel_spec_validation():
@@ -773,11 +808,77 @@ def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
 def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned():
     # The kernel of this 1 x 600 strip factors with no jitter, but its even
     # parity block, 2 (K_U V_c)[representatives], has an eigenvalue near
-    # -5e-13: the first solve raises instead of forming a precision.
-    gram = build_gram(sio.make_grid(1, 600), KernelSpec(length_scale=1e15))
-    assert gram.applied_jitter == 0.0 and gram._lattice == (1, 600)
+    # -5e-13. Formed first, the blocks run the jitter ladder and factor with
+    # 1e-10, and the solve passes the backward-error gate of the test below;
+    # formed after a draw, they must use the factor's jitter, 0, and the
+    # first solve raises.
+    grid = sio.make_grid(1, 600)
+    kernel = KernelSpec(length_scale=1e15)
+    Zc = np.random.default_rng(600).standard_normal((3, 600))
+    gram = build_gram(grid, kernel)
+    X = gram._rsolve(Zc)
+    assert gram.applied_jitter == 1e-10 and gram._lattice == (1, 600)
+    K = kernel(grid, grid) + 1e-10 * np.eye(600)
+    assert np.linalg.norm(X @ K - Zc) <= 1e-15 * np.linalg.norm(K, 2) * np.linalg.norm(X)
+    drawn = build_gram(grid, kernel)
+    drawn.sqrt_matvec(Zc)
+    assert drawn.applied_jitter == 0.0
     with pytest.raises(IllConditionedKernelError, match="block of the precision"):
-        gram._rsolve(np.ones(600))
+        drawn._rsolve(Zc)
+
+
+def test_racing_threads_form_each_representation_once_with_one_jitter(monkeypatch):
+    # On the strip above the factor alone needs no jitter and the blocks
+    # alone 1e-10. Threads that draw and solve at once must agree on one:
+    # either the factor formed first, with 0, and every solve raised, or the
+    # blocks did, with 1e-10, and the factor carries it. The factor forms
+    # once either way.
+    grid = sio.make_grid(1, 600)
+    kernel = KernelSpec(length_scale=1e15)
+    jittered = kernel(grid, grid) + 1e-10 * np.eye(600)
+    dpotrf = _lapack.dpotrf
+    dense = []
+
+    def counting(a, **kwargs):
+        if a.shape == (600, 600):
+            dense.append(a.shape)
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(_lapack, "dpotrf", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            gram = build_gram(grid, kernel)
+            dense.clear()
+            barrier = threading.Barrier(4)
+            raised = []
+
+            def draw():
+                barrier.wait()
+                gram.sqrt_matvec(np.ones(600))
+
+            def solve():
+                barrier.wait()
+                try:
+                    gram._rsolve(np.ones(600))
+                except IllConditionedKernelError:
+                    raised.append(True)
+
+            threads = [threading.Thread(target=f) for f in (draw, solve, draw, solve)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(dense) == 1
+            if gram.applied_jitter == 0.0:
+                assert len(raised) == 2
+            else:
+                assert gram.applied_jitter == 1e-10 and raised == []
+                assert np.array_equal(gram.chol, dpotrf(jittered, lower=1, clean=1)[0])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("side", [24, 32])

@@ -440,6 +440,19 @@ def test_list_init_matches_array_init():
         assert np.max(np.abs(chains[0].abundances[0] - res.A)) < 1e-3
 
 
+@pytest.mark.parametrize("sampler", [mirror_langevin, projected_ula])
+@pytest.mark.parametrize("parts", ["image", "latent"])
+def test_nonfinite_explicit_init_is_rejected_by_the_config(sampler, parts):
+    # A non-finite latent init used to pass the config, and the chain then
+    # raised DivergenceError at step 0, which blames the step size.
+    model, res = make_model(snr_db=15.0)
+    init = res.A.copy() if parts == "image" else geometry.ilr(res.A.T).T
+    for bad in (np.nan, np.inf, -np.inf):
+        init[0, 1] = bad
+        with pytest.raises(ValueError, match="init must be finite"):
+            sampler(model, SamplerConfig(step_size=1e-3, n_steps=2, burn_in=0, seed=0, init=init))
+
+
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(step_size=0.0, n_steps=10)
