@@ -26,9 +26,7 @@ O(N K). On a 96 x 96 grid with 921 observed pixels (one BLAS thread, 2
 vCPUs) a call takes about 115 ms (BENCH_23.json) and peaks at 11.4 MB
 under ``tracemalloc`` (BENCH_16.json), against 290 ms and 76 MB with the
 whole cross-covariance (BENCH_14.json). The kernel fills the blocks from a
-table of pixel offsets (see ``KernelSpec``) in about 27 ms of that; when
-it sums squared coordinate differences instead, as it does off a
-lattice, a call takes about 265 ms.
+table of pixel offsets (see ``KernelSpec``) in about 27 ms of that.
 """
 
 from dataclasses import dataclass
@@ -37,7 +35,7 @@ import numpy as np
 
 from . import geometry
 from .errors import IllConditionedKernelError
-from .prior import _as_float, _as_grid
+from .prior import _as_float, _as_pixels
 
 # Grid pixels per block of the cross-covariance. Block sizes from 128 to
 # 768 took the same time with K = 921 observed pixels (BENCH_14.json).
@@ -93,8 +91,10 @@ def interpolate(obs, spec, grid):
         Prior hyperparameters; `spec.kernel` supplies the spatial
         covariance, scaled by `spec.sigma_a2` in latent space.
     grid : ndarray, shape (N, 2)
-        Finite coordinates of every pixel to predict (the observed pixels
-        are indexed into this grid).
+        Coordinates of every pixel to predict, each a finite integer (the
+        observed pixels are indexed into this grid). The kernel's offset
+        tables cover the pixels' bounding box: fewer than 4 w h entries
+        for pixels of one w x h image.
 
     Returns
     -------
@@ -103,7 +103,7 @@ def interpolate(obs, spec, grid):
         and the per-pixel latent predictive variance, shape (N,), shared by
         all P-1 latent dimensions.
     """
-    grid = _as_grid(grid)
+    grid = _as_pixels(grid)
     N = len(grid)
     if np.any(obs.indices < 0) or np.any(obs.indices >= N):
         raise ValueError("observed indices outside the grid")

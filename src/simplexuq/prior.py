@@ -10,7 +10,6 @@ exact chart Jacobian, so they integrate to 1 with respect to Lebesgue
 measure on the first P-1 components of each pixel.
 """
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -34,15 +33,10 @@ _JITTER_MAX = 1e-4
 # other cache sizes.
 _SYMV_MIN_PIXELS = 480
 
-# Entries of one block of rows: an exponential kernel evaluation fills its
+# Entries of one block of rows: a kernel evaluation fills its
 # result a block of rows at a time, so its scratch stays in cache and adds
 # 1/64 of a 1024 x 1024 matrix to the peak.
 _ROW_BLOCK_ENTRIES = 2**14
-
-# An exponential kernel is evaluated by table lookup when the table of
-# pixel offsets has at most 1/8 as many entries as the result: the table
-# then adds little to the peak, and its exponentials little to the time.
-_LATTICE_SHARE = 8
 
 # The parity blocks of an N-pixel lattice are filled from panels of at most
 # N / _PANEL_SHARE representatives' rows of K_U: a panel and its folds add
@@ -62,15 +56,16 @@ class KernelSpec:
     ``dirac`` is ``sigma_k2`` at zero distance and 0 elsewhere (the
     non-spatialized prior).
 
-    The exponential kernel is evaluated with numpy alone. On a lattice
-    (integer coordinates whose offsets fill a box of no more offsets than
-    the result has entries) a stationary kernel takes one value per pixel
-    offset (Dietrich & Newsam 1997, SIAM J. Sci. Comput. 18:1088): each
-    value is computed once, into a table, and the result is filled by
-    lookup. Other coordinates have their squared differences summed
-    column by column. Both give every entry the bits of ``cdist``'s
-    distance, scaled in the same operation order, and ``kernel(U, U)`` is
-    exactly symmetric.
+    ``kernel(U1, U2)`` takes two (n, 2) arrays of pixel coordinates, each
+    a finite integer, and raises ValueError for any other input. A
+    stationary kernel on the pixel lattice takes one value per pixel offset
+    (Dietrich & Newsam 1997, SIAM J. Sci. Comput. 18:1088): each value is
+    computed once, into a table of every offset between the two sets'
+    bounding boxes, and the result is filled by lookup, a block of rows at
+    a time. For pixels of one w x h image the table has fewer than 4 w h
+    entries. Integer offsets below 2**53 are exact, so every exponential
+    entry has the bits of ``cdist``'s distance, scaled in the same
+    operation order, and ``kernel(U, U)`` is exactly symmetric.
     """
 
     kind: str = "exponential"
@@ -89,37 +84,36 @@ class KernelSpec:
             raise ValueError("sigma_k2 must be positive and finite")
 
     def __call__(self, U1, U2):
-        """Cross-covariance matrix between two coordinate sets (n1, d), (n2, d)."""
-        U1 = np.atleast_2d(np.asarray(U1, dtype=float))
-        U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-        if U1.ndim != 2 or U2.ndim != 2 or U1.shape[1] != U2.shape[1] or U1.shape[1] == 0:
-            raise ValueError(f"coordinate sets of shapes {U1.shape} and {U2.shape}: need (n1, d) and (n2, d)")
-        if self.kind == "dirac":
-            # Exact coordinate equality, as build_gram's distinctness check:
-            # a distance of 1e-200 squares to zero.
-            same = np.all(U1[:, None, :] == U2[None, :, :], axis=-1)
-            return self.sigma_k2 * same.astype(float)
-        n1, n2 = len(U1), len(U2)
-        out = np.empty((n1, n2))
-        rows = max(1, _ROW_BLOCK_ENTRIES // max(n2, 1))
-        lattice = _lattice_offsets(U1, U2, out.size)
-        if lattice is not None:
-            table, P1, P2 = lattice
-            self._scale_distances(table)
-            idx = np.empty((min(rows, n1), n2), dtype=np.intp)
-            for s in range(0, n1, rows):
-                e = min(s + rows, n1)
-                np.subtract(P1[s:e, None], P2, out=idx[: e - s])
-                # "clip" writes into out unbuffered; no index leaves the table
-                np.take(table, idx[: e - s], out=out[s:e], mode="clip")
+        """Cross-covariance matrix between two pixel coordinate sets (n1, 2), (n2, 2)."""
+        U1, U2 = _as_pixels(U1), _as_pixels(U2)
+        out = np.empty((len(U1), len(U2)))
+        if out.size == 0:
             return out
-        sq = np.empty((min(rows, n1), n2))
-        for s in range(0, n1, rows):
-            e = min(s + rows, n1)
-            d = out[s:e]
-            _sum_squared_differences(U1[s:e].T, U2.T, d, sq[: e - s])
-            np.sqrt(d, out=d)
-            self._scale_distances(d)
+        # Along each axis the offsets run from lo1 - hi2 to hi1 - lo2, and the
+        # offset of U1[i] from U2[j] is table entry P1[i] + P2[j]. A width adds
+        # two spans and a position subtracts a corner before the intp cast,
+        # so coordinates beyond intp's range stay exact.
+        axes = []
+        for c1, c2 in zip(U1.T, U2.T):
+            lo1, hi2 = c1.min(), c2.max()
+            width = int((c1.max() - lo1) + (hi2 - c2.min())) + 1
+            axes.append((lo1 - hi2 + np.arange(width), c1 - lo1, hi2 - c2))
+        (dx, x1, x2), (dy, y1, y2) = axes
+        table = np.add.outer(dx * dx, dy * dy)
+        if self.kind == "dirac":
+            table = self.sigma_k2 * (table == 0.0)
+        else:
+            np.sqrt(table, out=table)
+            self._scale_distances(table)
+        P1 = (x1 * len(dy) + y1).astype(np.intp)
+        P2 = (x2 * len(dy) + y2).astype(np.intp)
+        rows = max(1, _ROW_BLOCK_ENTRIES // len(U2))
+        idx = np.empty((min(rows, len(U1)), len(U2)), dtype=np.intp)
+        for s in range(0, len(U1), rows):
+            e = min(s + rows, len(U1))
+            np.add(P1[s:e, None], P2, out=idx[: e - s])
+            # "clip" writes into out unbuffered; no index leaves the table
+            np.take(table, idx[: e - s], out=out[s:e], mode="clip")
         return out
 
     def _scale_distances(self, d):
@@ -137,52 +131,6 @@ def _as_float(value, name):
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
-
-
-def _lattice_offsets(U1, U2, size):
-    """The distance of every pixel offset of two sets of lattice coordinates.
-
-    When every coordinate is an integer and the coordinates span s_k along
-    axis k, each offset u - u' lies in a box of prod(2 s_k + 1) offsets.
-    Returns the distances of that box's offsets, row-major, and intp
-    positions P1 and P2 such that the offset of U1[i] from U2[j] is entry
-    P1[i] - P2[j]; or None unless the coordinates are integers and the box
-    has at most ``size / _LATTICE_SHARE`` offsets. Integer coordinates this
-    close together differ exactly in floating point, and the squares and
-    sums of those differences stay exact, so each distance is ``cdist``'s:
-    the square root of the same integer.
-    """
-    if size == 0:
-        return None
-    lo = np.minimum(U1.min(axis=0), U2.min(axis=0))
-    span = np.maximum(U1.max(axis=0), U2.max(axis=0)) - lo
-    # NaN and infinity fail the first test, a fractional coordinate the second
-    if not np.all(span <= size) or np.any(U1 != np.floor(U1)) or np.any(U2 != np.floor(U2)):
-        return None
-    span = span.astype(np.intp)
-    width = 2 * span + 1
-    if _LATTICE_SHARE * math.prod(width.tolist()) > size:
-        return None
-    d2 = np.zeros(1)
-    for s in span:
-        d2 = np.add.outer(d2, np.arange(-s, s + 1.0) ** 2).ravel()
-    # row-major strides of the box; the lower corner is subtracted before the
-    # cast, so coordinates beyond intp's range stay exact
-    stride = np.append(np.cumprod(width[:0:-1])[::-1], 1)
-    P2 = (U2 - lo).astype(np.intp) @ stride
-    P1 = (U1 - lo).astype(np.intp) @ stride + span @ stride
-    return np.sqrt(d2, out=d2), P1, P2
-
-
-def _sum_squared_differences(C1, C2, out, sq):
-    """out[i, j] = sum over k of (C1[k, i] - C2[k, j])**2, added coordinate by
-    coordinate in ``cdist``'s order; ``sq`` is scratch of out's shape."""
-    np.subtract(C1[0][:, None], C2[0], out=out)
-    np.square(out, out=out)
-    for a, b in zip(C1[1:], C2[1:]):
-        np.subtract(a[:, None], b, out=sq)
-        np.square(sq, out=sq)
-        out += sq
 
 
 class GramMatrix:
@@ -540,13 +488,15 @@ def _cholesky_with_jitter(make_K, scale, jitter=None):
     raise IllConditionedKernelError(f"Cholesky failed for a {n}x{n} Gram matrix even with jitter {jit:g}")
 
 
-def _as_grid(grid):
-    """Pixel coordinates as a float (N, 2) array; ValueError on a
-    non-finite coordinate, before any kernel is evaluated."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid coordinates must be finite")
-    return grid
+def _as_pixels(U):
+    """Pixel coordinates as a float (n, 2) array (a single one may be a
+    vector); ValueError unless every coordinate is a finite integer."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if U.ndim != 2 or U.shape[1] != 2:
+        raise ValueError(f"coordinate sets must have shape (n, 2), got {U.shape}")
+    if not (np.all(np.isfinite(U)) and np.array_equal(U, np.floor(U))):
+        raise ValueError("grid coordinates must be finite integers")
+    return U
 
 
 def build_gram(grid, kernel):
@@ -555,15 +505,17 @@ def build_gram(grid, kernel):
     On the row-major lattice of ``io.make_grid``, the exponential kernel is
     held as its first row, the corner pixel's covariance with every pixel,
     and nothing is factored until the operator is used (see
-    `GramMatrix`). On other coordinates the kernel matrix is evaluated
+    `GramMatrix`). On other pixel sets the kernel matrix is evaluated
     once and factored in place (LAPACK ``dpotrf``), and the factor is kept
     without a copy: set-up holds one N x N array. A failed factorization
-    evaluates the kernel again for the next jitter.
+    evaluates the kernel again for the next jitter. The kernel's offset
+    table covers the pixels' bounding box (see `KernelSpec`): fewer than
+    4 w h entries for pixels of one w x h image.
 
     Parameters
     ----------
     grid : ndarray, shape (N, 2)
-        Distinct, finite pixel coordinates in pixel units.
+        Distinct pixel coordinates, each a finite integer.
     kernel : KernelSpec
 
     Returns
@@ -575,12 +527,13 @@ def build_gram(grid, kernel):
     Raises
     ------
     ValueError
-        If the grid is empty or holds a repeated or non-finite coordinate.
+        If the grid is empty, not of shape (N, 2), or holds a repeated,
+        non-finite or fractional coordinate.
     IllConditionedKernelError
         Off the lattice, if the factorization fails after the maximum
         jitter; a lattice operator raises it at first use instead.
     """
-    grid = _as_grid(grid)
+    grid = _as_pixels(grid)
     if grid.size == 0:
         raise ValueError("grid must contain at least one pixel")
     # Sorted rows, then adjacent rows compared exactly (0.0 equals -0.0):
@@ -606,7 +559,7 @@ def _lattice_shape(grid):
     """(width, height) when grid is the row-major lattice ``io.make_grid``
     returns, else None."""
     n = len(grid)
-    if grid.shape[1] != 2 or not 0 <= grid[:, 0].max() < n:
+    if not 0 <= grid[:, 0].max() < n:
         return None
     x, y = grid.T
     width = int(x.max()) + 1

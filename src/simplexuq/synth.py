@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import build_gram, gp_prior_sample
+from .prior import _as_pixels, build_gram, gp_prior_sample
 from .sampler import check_endmembers
 
 
@@ -73,7 +73,10 @@ def synth_generate(S, grid, spec, snr_db, rng, abundances=None):
     S : ndarray (L, P)
         Endmember matrix.
     grid : ndarray (N, 2)
-        Pixel coordinates.
+        Pixel coordinates, each a finite integer. An exponential prior's
+        truth draw evaluates its kernel on them (see `build_gram`), from
+        an offset table of fewer than 4 w h entries for pixels of one
+        w x h image.
     spec : PriorSpec
         Prior used to draw the ground truth (a dirac kernel gives i.i.d.
         pixels) and recorded for downstream runs.
@@ -89,7 +92,7 @@ def synth_generate(S, grid, spec, snr_db, rng, abundances=None):
     """
     S = check_endmembers(S)
     rng = np.random.default_rng(rng)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _as_pixels(grid)
     if abundances is None:
         gram = build_gram(grid, spec.kernel)
         A = gp_prior_sample(spec, gram, 1, rng)[0]

@@ -179,11 +179,11 @@ def test_nonfinite_grid_coordinate_rejected():
         interpolate(obs, spec, grid)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5])
 @pytest.mark.parametrize("kind", ["exponential", "dirac"])
 def test_nonfinite_grid_coordinate_rejected_before_the_kernel(kind, bad, monkeypatch):
     def never(self, U1, U2):
-        raise AssertionError("kernel evaluated on a non-finite grid")
+        raise AssertionError("kernel evaluated on a non-finite or fractional grid")
 
     grid = sio.make_grid(3, 3)
     grid[4, 1] = bad

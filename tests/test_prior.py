@@ -19,7 +19,6 @@ from simplexuq.prior import (
     KernelSpec,
     PriorSpec,
     _cholesky_with_jitter,
-    _lattice_offsets,
     build_gram,
     gp_prior_logpdf,
     gp_prior_sample,
@@ -193,17 +192,20 @@ def test_gram_dirac_is_identity():
     assert np.array_equal(gram.solve(B), B)
 
 
-def test_dirac_kernel_separates_underflowing_distances():
-    # The Euclidean distance between these points squares to zero; build_gram
-    # already treats them as distinct pixels, and so must the kernel.
-    assert np.array_equal(KernelSpec(kind="dirac")([[0, 0]], [[1e-200, 0]]), [[0.0]])
-    assert np.array_equal(KernelSpec(kind="dirac", sigma_k2=2.0)([[1e-200, 0]], [[1e-200, 0]]), [[2.0]])
+def test_dirac_kernel_rejects_underflowing_distances():
+    # The Euclidean distance between these points squares to zero, but 1e-200
+    # is no pixel coordinate: the kernel and build_gram refuse it.
+    for kernel in (KernelSpec(kind="dirac"), KernelSpec(kind="dirac", sigma_k2=2.0)):
+        with pytest.raises(ValueError, match="finite integers"):
+            kernel([[0, 0]], [[1e-200, 0]])
+        with pytest.raises(ValueError, match="finite integers"):
+            build_gram([[0, 0], [1e-200, 0]], kernel)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (9, 7)])
 def test_dirac_kernel_matches_zero_distance_rule_on_grids(shape):
     grid = sio.make_grid(*shape)
-    other = np.vstack([grid[::2], grid[::3] + 0.5])
+    other = np.vstack([grid[::2], grid[::3] + [5.0, -2.0]])
     for U1, U2 in ((grid, grid), (grid, other), (other, grid)):
         expected = 1.7 * (cdist(U1, U2) == 0.0).astype(float)
         assert np.array_equal(KernelSpec(kind="dirac", sigma_k2=1.7)(U1, U2), expected)
@@ -215,7 +217,7 @@ def test_kernel_of_a_coordinate_set_is_exactly_symmetric(kind, length_scale, sig
     # build_gram and interpolate factor kernel(U, U) as it comes, without
     # averaging it with its transpose, so the symmetry must be exact
     rng = np.random.default_rng(11)
-    U = np.vstack([rng.uniform(-30.0, 30.0, size=(300, 2)), sio.make_grid(9, 7) * 0.1 + 1.0 / 3.0])
+    U = np.vstack([rng.integers(-30, 31, size=(300, 2)), sio.make_grid(9, 7) + [40.0, -7.0]])
     K = KernelSpec(kind=kind, length_scale=length_scale, sigma_k2=sigma_k2)(U, U)
     assert np.array_equal(K, K.T)
 
@@ -239,26 +241,20 @@ def kernel_specs(draw):
 
 @st.composite
 def lattice_subsets(draw):
-    """Two random subsets of one w x h lattice, shifted by one offset."""
+    """Two random subsets of one w x h lattice, shifted by one offset; the
+    second is moved by a further offset, which may part their boxes."""
     w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     shift = np.array([draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_OFFSETS))])
+    apart = np.array([draw(st.sampled_from([0.0, 13.0, -(2.0**30)])), draw(st.sampled_from([0.0, -5.0]))])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = sio.make_grid(w, h) + shift
-    return tuple(grid[rng.random(len(grid)) < rng.uniform(0.1, 1.0)] for _ in range(2))
+    U1, U2 = (grid[rng.random(len(grid)) < rng.uniform(0.1, 1.0)] for _ in range(2))
+    return U1, U2 + apart
 
 
 @given(lattice_subsets(), kernel_specs())
 def test_exponential_kernel_has_the_bits_of_cdist_on_lattices(sets, kernel):
     U1, U2 = sets
-    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
-    K = kernel(U1, U1)
-    assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
-
-
-@given(st.integers(1, 3), st.integers(0, 2**32 - 1), kernel_specs())
-def test_exponential_kernel_has_the_bits_of_cdist_on_lattices_of_any_dimension(dim, seed, kernel):
-    rng = np.random.default_rng(seed)
-    U1, U2 = (rng.integers(-1, 2, size=(rng.integers(1, 40), dim)).astype(float) for _ in range(2))
     assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
     K = kernel(U1, U1)
     assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
@@ -271,58 +267,26 @@ def test_lattice_beyond_the_integer_range_keeps_its_offsets():
     kernel = KernelSpec(length_scale=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _lattice_offsets(U, U, len(U) ** 2) is not None
         assert np.array_equal(kernel(U, U), cdist_kernel(kernel, U, U))
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 2.0**40]), kernel_specs())
-def test_exponential_kernel_has_the_bits_of_cdist_off_lattices(seed, scale, kernel):
-    rng = np.random.default_rng(seed)
-    U1 = scale * rng.uniform(-1.0, 1.0, size=(rng.integers(1, 40), 2))
-    U2 = np.vstack([U1[: rng.integers(0, len(U1) + 1)], sio.make_grid(3, 2) + 0.5])
-    assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
-    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
-    K = kernel(U1, U1)
-    assert np.array_equal(K, cdist_kernel(kernel, U1, U1)) and np.array_equal(K, K.T)
-
-
-@given(st.integers(12, 2**45), kernel_specs())
-def test_far_apart_lattices_use_the_general_path(gap, kernel):
-    # Integer coordinates whose offsets would need a table too large for the
-    # result fall back to summing squared differences.
-    U1, U2 = sio.make_grid(3, 4), sio.make_grid(2, 2) + [float(gap), 1.0]
-    assert _lattice_offsets(U1, U2, len(U1) * len(U2)) is None
-    assert np.array_equal(kernel(U1, U2), cdist_kernel(kernel, U1, U2))
 
 
 def test_lattice_path_serves_gram_matrices_and_interpolation_blocks():
     grid = sio.make_grid(32, 32)
-    assert len(_lattice_offsets(grid, grid, len(grid) ** 2)[0]) == 63**2
     big = sio.make_grid(96, 96)
     observed = big[np.random.default_rng(3).choice(len(big), 921, replace=False)]
-    assert _lattice_offsets(big[:512], observed, 512 * 921) is not None
     kernel = KernelSpec(length_scale=4.0, sigma_k2=0.7)
     assert np.array_equal(kernel(grid, grid), cdist_kernel(kernel, grid, grid))
     assert np.array_equal(kernel(big[:512], observed), cdist_kernel(kernel, big[:512], observed))
 
 
-def test_lattice_table_is_at_most_an_eighth_of_the_result():
-    # 63 x 63 offsets of a 32 x 32 grid: too many for 20 x 1024 entries, few
-    # enough for 40 x 1024
+@pytest.mark.parametrize("kind", ["exponential", "dirac"])
+def test_exponential_kernel_peak_memory_is_its_result(kind):
+    # Both kinds fill the result in row blocks from one offset table, with no
+    # full-size temporary.
     grid = sio.make_grid(32, 32)
-    assert _lattice_offsets(grid[:20], grid, 20 * 1024) is None
-    table, _, _ = _lattice_offsets(grid[:40], grid, 40 * 1024)
-    assert 8 * table.size <= 40 * 1024
-
-
-@pytest.mark.parametrize("shift", [0.0, 0.5])
-def test_exponential_kernel_peak_memory_is_its_result(shift):
-    # Lattice (shift 0) and general path alike fill the result in row blocks
-    # with no full-size temporary.
-    grid = sio.make_grid(32, 32) + shift
     tracemalloc.start()
     try:
-        K = KernelSpec(length_scale=4.0)(grid, grid)
+        K = KernelSpec(kind=kind, length_scale=4.0)(grid, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,8 +305,11 @@ def test_kernel_rejects_mismatched_coordinate_dimensions(kind):
     for U1, U2 in pairs:
         with pytest.raises(ValueError, match="coordinate sets"):
             kernel(U1, U2)
-    # a single coordinate may be given as a vector
+    # a single coordinate may be given as a vector, and an empty set gives an
+    # empty matrix
     assert kernel([0.0, 0.0], [[0.0, 0.0], [3.0, 4.0]]).shape == (1, 2)
+    assert kernel(np.zeros((0, 2)), sio.make_grid(3, 2)).shape == (0, 6)
+    assert kernel(sio.make_grid(3, 2), np.zeros((0, 2))).shape == (6, 0)
 
 
 def test_gram_symmetry_and_cholesky():
@@ -354,7 +321,8 @@ def test_gram_symmetry_and_cholesky():
 
 def test_gram_rejects_duplicate_coordinates():
     # The verdict of np.unique(grid, axis=0): exact row equality, with 0.0
-    # equal to -0.0 and a one-ulp difference distinct.
+    # equal to -0.0 and a one-ulp difference distinct; but 1 + ulp is no
+    # pixel coordinate, so those grids are refused as fractional.
     ulp = np.nextafter(1.0, 2.0)
     grids = {
         "repeated row": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
@@ -368,7 +336,10 @@ def test_gram_rejects_duplicate_coordinates():
         grid = np.array(rows)
         distinct = len(np.unique(grid, axis=0)) == len(grid)
         assert distinct == name.startswith(("one ulp", "single")), name
-        if distinct:
+        if name.startswith("one ulp"):
+            with pytest.raises(ValueError, match="finite integers"):
+                build_gram(grid, KernelSpec(kind="dirac"))
+        elif distinct:
             assert build_gram(grid, KernelSpec(kind="dirac")).n_pixels == len(grid)
         else:
             with pytest.raises(ValueError, match="distinct"):

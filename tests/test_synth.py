@@ -80,3 +80,16 @@ def test_synth_validation():
         synth_generate(S, make_grid(2, 2), spec, snr_db=np.inf, rng=0)
     with pytest.raises(ValueError):
         synth_generate(S, make_grid(2, 2), spec, snr_db=10.0, rng=0, abundances=np.ones((3, 7)))
+
+
+def test_synth_validates_the_grid_of_given_abundances():
+    # A given truth draws nothing from the prior, yet its grid must still be
+    # pixel coordinates: (N, 2), each a finite integer.
+    S, _ = builtin_endmembers(16, 3)
+    spec = PriorSpec(P=3, sigma_a2=1.0, kernel=KernelSpec(kind="dirac"))
+    truth = np.array([[0.5], [0.3], [0.2]])
+    for grid in ([[np.nan, 0.0, 7.0]], [[np.nan, 0.0]], [[0.5, 0.0]]):
+        with pytest.raises(ValueError, match="coordinate"):
+            synth_generate(S, np.array(grid), spec, snr_db=None, rng=0, abundances=truth)
+    res = synth_generate(S, np.array([[3.0, 4.0]]), spec, snr_db=None, rng=0, abundances=truth)
+    assert np.array_equal(res.A, truth)
