@@ -25,9 +25,8 @@ _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
 # GramMatrix multiplies by a precision block of this many pixels or more
-# with one symmetric dsymv per row instead of a matmul, and splits the
-# precision of a lattice of this many pixels or more into its four parity
-# blocks (see the GramMatrix docstring). The dsymv crossover was measured
+# with one symmetric dsymv per row instead of a matmul, and a lattice of
+# this many pixels or more gets the parity-block operator (see GramMatrix). The dsymv crossover was measured
 # on a 2-core Xeon with 2 MiB of L2 per core (`lscpu -C`: 2M each, 4M over
 # both), OpenBLAS, one BLAS thread; not checked with multi-threaded BLAS or
 # other cache sizes.
@@ -139,51 +138,47 @@ class GramMatrix:
     ``GramMatrix(chol, applied_jitter=0.0)`` holds a Cholesky factor: for a
     dense kernel (exponential), the lower (N, N) factor, stored
     column-major; for a diagonal kernel (dirac), the (N,) vector of square
-    roots of the diagonal, so memory and each solve are O(N).
+    roots of the diagonal, so memory and each solve are O(N). A diagonal
+    solve divides the right-hand side by ``chol`` twice, so a unit diagonal
+    returns it unchanged. A dense solve multiplies by the precision
+    K_U^{-1}, kept as full, symmetric, C-ordered, read-only blocks, instead
+    of running two triangular solves. ``matrix``, K_U itself (with sigma_k2
+    on its diagonal), is recomputed on each access.
 
-    On the row-major w x h lattice of ``io.make_grid``, ``build_gram``
-    factors nothing for a dense kernel: a stationary kernel on a lattice
-    takes one value per pixel offset (Dietrich & Newsam 1997), so the
-    operator holds the lattice and the kernel's first row, the corner
-    pixel's covariance with every pixel (N values). From that row it forms
-    the precision on the first solve, and the dense factor on the first
-    use of ``chol``, ``sqrt_matvec``, ``log_det`` or ``matrix``: the kernel
-    matrix, filled by offset lookup and factored in place. A chain that
-    never draws from the prior never pays its N^2 doubles and N^3/3 flops.
-    Whichever forms first runs the jitter ladder (none, then 1e-10 up to
-    1e-4 times sigma_k2 on the diagonal); the other reuses that jitter and
-    raises ``IllConditionedKernelError`` if it does not factor there. So
-    such an operator raises at first use, not in ``build_gram``.
-    ``applied_jitter`` is that jitter (0.0 when none was needed; a factor
-    built by hand carries the one it is given); read before either forms,
-    it forms the precision. One lock per operator serialises the forming,
-    so instances are safe to share across threads: each representation
-    forms once, and both carry one jitter. What an instance represents
-    never changes; instances compare and hash by identity.
-
-    A diagonal solve divides the right-hand side by ``chol`` twice, so a
-    unit diagonal returns it unchanged. A dense solve multiplies by the
-    precision K_U^{-1}, kept as full, symmetric, C-ordered, read-only
-    blocks, instead of running two triangular solves. ``matrix``, K_U
-    itself (with sigma_k2 on its diagonal), is not stored: each access
-    recomputes it as ``chol @ chol.T``, or as the (N,) diagonal
-    ``chol * chol``.
-
-    On the lattice, a kernel that depends only on |dx| and |dy| commutes
-    with the x- and y-reflections of the lattice, so K_U is block-diagonal
-    in the four even/odd parity classes of the two reflections: the
-    centrosymmetric splitting of Cantoni & Butler 1976 (Linear Algebra
-    Appl. 13:275), once per axis. For a basis V_c of class c, built from
-    unnormalised +-1 folds of mirrored pixels (the centre row or column of
-    an odd side is even), K_U^{-1} = sum_c V_c B_c^{-1} V_c^T with
-    B_c = V_c^T K_U V_c = diag(|orbit|) (K_U V_c)[representatives], the
-    pixels x < w/2, y < h/2 (rounded up), whose orbits hold 1, 2 or 4
-    pixels. From ``_SYMV_MIN_PIXELS`` pixels on, a lattice operator keeps
-    these four blocks, a quarter of the dense precision's bytes, formed in
-    O(N^2) from the kernel's first row (jitter included), and a product
-    folds the right-hand side into the classes, multiplies each by its
-    block and unfolds the result. Any other dense operator keeps one
-    block, V = I, whose factor is ``chol`` itself.
+    On the row-major w x h lattice of ``io.make_grid``, from
+    ``_SYMV_MIN_PIXELS`` pixels on, a dense kernel's operator holds the
+    lattice and the kernel's first row, the corner pixel's covariance with
+    every pixel: a stationary kernel on a lattice takes one value per
+    pixel offset (Dietrich & Newsam 1997). A kernel of |dx| and |dy|
+    commutes with the lattice's x- and y-reflections, so K_U is
+    block-diagonal in their four even/odd parity classes (Cantoni & Butler
+    1976, Linear Algebra Appl. 13:275, once per axis). For a basis V_c of
+    class c of unnormalised +-1 folds of mirrored pixels (the centre row or
+    column of an odd side is even), B_c = V_c^T K_U V_c =
+    diag(|orbit|) (K_U V_c)[representatives], the pixels x < w/2, y < h/2
+    (rounded up), whose orbits hold 1, 2 or 4 pixels. Formed in O(N^2)
+    from the row and factored by ``dpotrf``, B_c = L_c L_c^T, the four
+    blocks, a quarter of N^2 entries, are the operator's one
+    factorization, formed again by each use. The first solve inverts them
+    in place and keeps the inverses: K_U^{-1} = sum_c V_c B_c^{-1} V_c^T,
+    so a product folds the right-hand side into the classes, multiplies
+    each by its block and unfolds the result. As V_c^T V_c =
+    diag(|orbit|), L = [V_c diag(|orbit|)^{-1} L_c] has L L^T = K_U: a
+    draw feeds each L_c its class-sized part of the white noise, and
+    ``log_det`` is sum_c log det B_c - sum log |orbit| over every class's
+    representatives. The first factorization runs the jitter ladder (none,
+    then 1e-10 up to 1e-4 times sigma_k2 on the diagonal), raising
+    ``IllConditionedKernelError`` if none succeeds, and later ones reuse
+    its jitter: ``applied_jitter`` (0.0 when none was needed; a factor
+    built by hand carries the one it is given). ``matrix`` is the row's
+    fill plus that jitter on the diagonal. Only ``chol``, which no
+    pipeline path reads, forms an N x N array: the kernel matrix, filled
+    from the row and factored in place at that jitter. Smaller lattices,
+    like other pixel sets, get the dense operator, whose one block, V = I,
+    has the factor ``chol``. One lock per operator serialises the forming,
+    so instances are safe to share across threads: the ladder runs once,
+    and the precision and ``chol`` form once each. What an instance
+    represents never changes; instances compare and hash by identity.
 
     A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -238,51 +233,52 @@ class GramMatrix:
 
     @property
     def applied_jitter(self):
-        """The jitter on K_U's diagonal; forms the precision if nothing has formed."""
+        """The jitter on K_U's diagonal; factors the blocks if nothing has."""
         if self._jitter is None:
-            self._blocks
+            self._block_factors()
         return self._jitter
 
     @property
     def _blocks(self):
-        """K_U^{-1} as (lattice, blocks): the lattice the solves fold over
-        (None for the one class V = I) and each class's B_c^{-1}, full,
-        symmetric, C-ordered and read-only."""
+        """Each class's B_c^{-1} (V = I off the lattice): full, symmetric, C-ordered, read-only."""
         return self._formed("_precision", self._form_precision)
 
-    def _form_factor(self):
-        """The lower factor of the lattice kernel matrix, filled from the row."""
+    def _fill(self):
+        """The lattice kernel matrix, filled from the row without jitter."""
         w, h = self._lattice
-        n = w * h
-        rows = _offset_rows(self._row, self._lattice)
+        K = np.empty((w * h, w * h))
+        np.copyto(K.reshape(h, w, h, w), _offset_rows(self._row, self._lattice))
+        return K
 
-        def make_K():
-            K = np.empty((n, n))
-            np.copyto(K.reshape(h, w, h, w), rows)
-            return K
-
-        L, self._jitter = _cholesky_with_jitter(make_K, float(self._row[0]), self._jitter)
+    def _form_factor(self):
+        """The dense factor of the lattice kernel matrix, at the blocks' jitter."""
+        L, _ = _cholesky_with_jitter(self._fill, float(self._row[0]), self.applied_jitter)
         L.setflags(write=False)
         return L
 
-    def _form_precision(self):
-        from ._lapack import dpotrf, dpotri
+    def _block_factors(self):
+        """Each parity class's lower factor L_c of B_c, upper triangle zeroed,
+        as F-ordered views of one store; the first call runs the ladder."""
+        from ._lapack import dpotrf
 
-        lattice = self._lattice if self.n_pixels >= _SYMV_MIN_PIXELS else None
-        if lattice is None:
-            # B = K_U, whose factor is chol; dpotri copies the read-only factor
-            factors = [self.chol]
-        else:
+        with self._lock:
             for jit in _jitter_ladder(float(self._row[0]), self._jitter):
-                factors = _parity_blocks(self._row, jit, lattice)
-                if all(dpotrf(B, lower=1, overwrite_a=1)[1] == 0 for B in factors if B.size):
+                factors = _parity_blocks(self._row, jit, self._lattice)
+                if all(dpotrf(B, lower=1, clean=1, overwrite_a=1)[1] == 0 for B in factors if B.size):
                     break
                 factors = None  # one set of blocks at a time
             else:
                 raise IllConditionedKernelError(
-                    f"a block of the precision is not positive definite even with jitter {jit:g}"
+                    f"a parity block of K_U is not positive definite even with jitter {jit:g}"
                 )
             self._jitter = jit
+        return factors
+
+    def _form_precision(self):
+        from ._lapack import dpotri
+
+        # off the lattice B = K_U, whose factor is the read-only chol: dpotri copies it
+        factors = [self._chol] if self._lattice is None else self._block_factors()
         blocks = []
         upper = np.tri(_MIRROR_PANEL, k=-1, dtype=bool).T
         for F in factors:
@@ -298,12 +294,15 @@ class GramMatrix:
                 inv[p:e, e:] = inv[e:, p:e].T
             inv.setflags(write=False)
             blocks.append(inv.T)
-        return lattice, blocks
+        return blocks
 
     @property
     def matrix(self):
-        """K_U, recomputed from the factor on each access; the (N,) diagonal
-        for a diagonal factor."""
+        """K_U; the (N,) diagonal for a diagonal factor."""
+        if self._lattice is not None:
+            K = self._fill()
+            K.reshape(-1)[:: len(K) + 1] += self.applied_jitter
+            return K
         if self.chol.ndim == 1:
             return self.chol * self.chol
         return self.chol @ self.chol.T
@@ -323,9 +322,10 @@ class GramMatrix:
         chol = self._chol
         if chol is not None and chol.ndim == 1:
             return Zc / chol / chol
-        lattice, blocks = self._blocks
-        parts = _fold(Zc, lattice)
-        return _unfold([_block_product(z, inv) for z, inv in zip(parts, blocks)], lattice)
+        if self._lattice is None:
+            return _block_product(Zc, self._blocks[0])
+        parts = _fold(Zc, self._lattice)
+        return _unfold([_block_product(z, inv) for z, inv in zip(parts, self._blocks)], self._lattice)
 
     def solve(self, B):
         """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
@@ -333,11 +333,18 @@ class GramMatrix:
 
     @property
     def log_det(self):
+        if self._lattice is not None:
+            factors, orbits = self._block_factors(), _class_orbits(self._lattice)
+            return sum(2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(o)) for L, o in zip(factors, orbits))
         diag = self.chol if self.chol.ndim == 1 else np.diag(self.chol)
         return 2.0 * np.sum(np.log(diag))
 
     def sqrt_matvec(self, E):
         """E L^T over the last axis of E: maps white noise to covariance K_U."""
+        if self._lattice is not None:
+            factors, orbits = self._block_factors(), _class_orbits(self._lattice)
+            parts = np.split(E, np.cumsum([o.size for o in orbits])[:-1], axis=-1)
+            return _unfold([e @ L.T / o.reshape(-1) for e, L, o in zip(parts, factors, orbits)], self._lattice)
         if self.chol.ndim == 1:
             return E * self.chol
         return E @ self.chol.T
@@ -353,29 +360,36 @@ def _offset_rows(row, lattice):
     return np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
 
 
+def _class_orbits(lattice):
+    """Each parity class's (x, y) grid of orbit sizes, in `_fold`'s order:
+    the first representatives along each axis of the even fold of ones."""
+    w, h = lattice
+    we, he = (w + 1) // 2, (h + 1) // 2
+    orbit = _fold(np.ones(w * h), lattice)[0].reshape(we, he)
+    return [orbit[:a, :b] for a in (we, w // 2) for b in (he, h // 2)]
+
+
 def _parity_blocks(row, jit, lattice):
     """Each parity class's B_c = diag(|orbit|) (K_U V_c)[representatives],
     for K_U the stationary matrix of ``row`` with ``jit`` on its diagonal:
     F-ordered views of one allocation of N^2/4 entries, freed whole."""
-    w, h = lattice
-    n = w * h
-    we, he = (w + 1) // 2, (h + 1) // 2
-    shapes = [(a, b) for a in (we, w // 2) for b in (he, h // 2)]
-    sizes = [a * b for a, b in shapes]
-    ends = np.cumsum([m * m for m in sizes])
+    n = lattice[0] * lattice[1]
+    orbits = _class_orbits(lattice)
+    ends = np.cumsum([o.size**2 for o in orbits])
     store = np.zeros(ends[-1])
-    factors = [store[e - m * m : e].reshape(m, m, order="F") for m, e in zip(sizes, ends)]
+    factors = [store[e - o.size**2 : e].reshape(o.size, o.size, order="F") for o, e in zip(orbits, ends)]
     corner = row.copy()
     corner[0] += jit
     rows = _offset_rows(corner, lattice)
-    # the even fold of ones counts each orbit
-    orbit = _fold(np.ones(n), lattice)[0].reshape(we, he, 1, 1)
+    # the x-even/y-even class has every representative
+    we, he = orbits[0].shape
+    orbit = orbits[0][:, :, None, None]
     k = max(1, n // _PANEL_SHARE)
     for x in range(we):
         for y in range(0, he, k):
             e = min(y + k, he)
             parts = _fold((rows[y:e, x] * orbit[x, y:e]).reshape(e - y, n), lattice)
-            for B, part, (a, b) in zip(factors, parts, shapes):
+            for B, part, (a, b) in zip(factors, parts, (o.shape for o in orbits)):
                 if x < a and y < b:
                     B.T.reshape(a, b, a * b)[x, y:e] = part[: b - y]
     return factors
@@ -424,9 +438,7 @@ def _mirror_unfold(even, odd):
 def _fold(a, lattice):
     """V_c^T a over the last axis of pixel vectors a, for each parity class
     c of a (width, height) lattice: x-even/y-even, x-even/y-odd,
-    x-odd/y-even, x-odd/y-odd; [a] itself for the one class of no lattice."""
-    if lattice is None:
-        return [a]
+    x-odd/y-even, x-odd/y-odd."""
     w, h = lattice
     lead = a.shape[:-1]
     return [
@@ -439,8 +451,6 @@ def _fold(a, lattice):
 def _unfold(parts, lattice):
     """sum_c V_c parts[c] over the last axis, for `_fold`'s classes:
     the transpose of `_fold`."""
-    if lattice is None:
-        return parts[0]
     w, h = lattice
     lead = parts[0].shape[:-1]
     he, ho = (h + 1) // 2, h // 2
@@ -502,10 +512,10 @@ def _as_pixels(U):
 def build_gram(grid, kernel):
     """Discretize a spatial kernel on pixel coordinates.
 
-    On the row-major lattice of ``io.make_grid``, the exponential kernel is
-    held as its first row, the corner pixel's covariance with every pixel,
-    and nothing is factored until the operator is used (see
-    `GramMatrix`). On other pixel sets the kernel matrix is evaluated
+    On an ``io.make_grid`` lattice of at least ``_SYMV_MIN_PIXELS``
+    pixels, the exponential kernel is held as its first row, and nothing
+    is factored until the operator is used (see `GramMatrix`). On other
+    pixel sets, smaller lattices included, the kernel matrix is evaluated
     once and factored in place (LAPACK ``dpotrf``), and the factor is kept
     without a copy: set-up holds one N x N array. A failed factorization
     evaluates the kernel again for the next jitter. The kernel's offset
@@ -530,8 +540,8 @@ def build_gram(grid, kernel):
         If the grid is empty, not of shape (N, 2), or holds a repeated,
         non-finite or fractional coordinate.
     IllConditionedKernelError
-        Off the lattice, if the factorization fails after the maximum
-        jitter; a lattice operator raises it at first use instead.
+        If the factorization fails after the maximum jitter; an operator
+        that holds the lattice's row raises it at first use instead.
     """
     grid = _as_pixels(grid)
     if grid.size == 0:
@@ -543,7 +553,7 @@ def build_gram(grid, kernel):
         raise ValueError("grid coordinates must be distinct")
     if kernel.kind == "dirac":
         return GramMatrix(np.full(len(grid), np.sqrt(kernel.sigma_k2)))
-    lattice = _lattice_shape(grid)
+    lattice = _lattice_shape(grid) if len(grid) >= _SYMV_MIN_PIXELS else None
     if lattice is not None:
         # LAPACK loads here, in set-up, not inside the first step of a chain
         from . import _lapack  # noqa: F401

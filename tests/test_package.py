@@ -63,7 +63,7 @@ from simplexuq.io import make_grid
 from simplexuq.prior import KernelSpec, build_gram
 
 before = "scipy.linalg._flapack" in sys.modules
-gram = build_gram(make_grid(3, 2), KernelSpec(length_scale=2.0))
+gram = build_gram(make_grid(24, 20), KernelSpec(length_scale=2.0))
 after = all(m in sys.modules for m in ("scipy.linalg._fblas", "scipy.linalg._flapack"))
 print(before, after, gram._chol is None and gram._precision is None, "scipy.linalg" in sys.modules)
 """
@@ -129,7 +129,7 @@ def test_exponential_pipeline_loads_lapack_but_not_scipy_spatial():
 
 def test_exponential_gram_loads_lapack_before_first_solve():
     # the wrappers load in set-up, not inside the first timed Langevin step,
-    # though set-up factors nothing on the lattice
+    # though set-up factors nothing on a lattice of 480 pixels or more
     assert run_fresh(EXPONENTIAL_GRAM) == "False True True False"
 
 

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from simplexuq import _lapack, geometry
+from simplexuq import _lapack, geometry, prior
 from simplexuq import io as sio
 from simplexuq.errors import IllConditionedKernelError
-from simplexuq.interp import PartialObservation
+from simplexuq.interp import PartialObservation, interpolate
 from simplexuq.prior import (
     _SYMV_MIN_PIXELS,
     GramMatrix,
@@ -27,7 +27,8 @@ from simplexuq.prior import (
     prior_quadratic,
     sample_latent_field,
 )
-from simplexuq.sampler import Observations, SamplerConfig
+from simplexuq.sampler import Observations, PosteriorModel, SamplerConfig, mirror_langevin
+from simplexuq.synth import builtin_endmembers, synth_generate
 
 
 def simplex_quadrature_nodes(bins):
@@ -402,17 +403,20 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
     # memory, and forming it holds one N x N array at a time under
     # tracemalloc, failed attempts of the jitter ladder included. On the
     # lattice the factor forms at its first use, here a read of `chol`,
-    # from the kernel's first row; off it (the lattice's pixels in reverse
-    # order), in build_gram from the kernel matrix.
+    # from the kernel's first row, once, at the jitter the parity blocks
+    # settle on first (their store is freed before the fill); off it (the
+    # lattice's pixels in reverse order), in build_gram from the kernel
+    # matrix.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     factored = []
     dpotrf = _lapack.dpotrf
 
     def recording(a, **kwargs):
-        # the address only: holding a failed attempt's matrix would add it
-        # to the peak
-        factored.append(a.ctypes.data)
+        # the address of each N x N matrix only: holding a failed attempt's
+        # matrix would add it to the peak
+        if a.shape == (len(grid), len(grid)):
+            factored.append(a.ctypes.data)
         return dpotrf(a, **kwargs)
 
     monkeypatch.setattr(_lapack, "dpotrf", recording)
@@ -428,7 +432,8 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert (gram._lattice is None) == (pixels is not grid)
-            assert len(factored) == attempts and L.ctypes.data == factored[-1]
+            assert len(factored) == (1 if pixels is grid else attempts) and L.ctypes.data == factored[-1]
+            assert gram.applied_jitter == (attempts - 1) * 1e-10
             assert peak <= 1.2 * nbytes
             del gram, L
     # Eigenvalue -5e-7 at the grid's size: five attempts fail before 1e-6.
@@ -457,29 +462,67 @@ def test_gram_rejects_nonfinite_grid_before_the_kernel(kind, bad, monkeypatch):
         build_gram(np.array([[0.0, 0.0], [bad, 1.0]]), KernelSpec(kind=kind))
 
 
+# a coordinate that is not a finite integer
+_BAD_COORDINATES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.floats(-1e6, 1e6).filter(lambda v: v != np.floor(v)),
+)
+
+
+@given(
+    pixels=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=6, unique=True),
+    bad=_BAD_COORDINATES,
+    where=st.integers(0, 11),
+)
+def test_every_pixel_entry_point_refuses_coordinates_that_are_not_finite_integers(pixels, bad, where):
+    grid = np.array(pixels, dtype=float)
+    grid.flat[where % grid.size] = bad
+    good = sio.make_grid(2, 2)
+    spec = PriorSpec(P=3, sigma_a2=1.0)
+    obs = PartialObservation(np.array([0]), np.full((3, 1), 1.0 / 3.0))
+    S, _ = builtin_endmembers(8, 3)
+    for call in (
+        lambda: KernelSpec()(grid, good),
+        lambda: KernelSpec(kind="dirac")(good, grid),
+        lambda: build_gram(grid, KernelSpec()),
+        lambda: build_gram(grid, KernelSpec(kind="dirac")),
+        lambda: interpolate(obs, spec, grid),
+        lambda: synth_generate(S, grid, spec, snr_db=15.0, rng=0),
+    ):
+        with pytest.raises(ValueError, match="finite integers"):
+            call()
+
+
 def test_gram_stores_factor_and_precision_only():
-    # Below the crossover the precision is one dense block (V = I); on a
-    # lattice from the crossover on, four parity blocks holding a quarter
-    # of its entries.
+    # Below the crossover a lattice gets the dense operator: build_gram keeps
+    # its factor, and the precision is one dense block (V = I). From the
+    # crossover on, the operator keeps the kernel's first row until the
+    # first solve forms four parity blocks holding a quarter of the
+    # precision's entries, and no factor.
+    kernel = KernelSpec(length_scale=3.0)
     for w, h, n_blocks in ((8, 6, 1), (24, 20, 4)):
         n = w * h
-        gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=3.0))
-        # the kernel's first row only, until the first solve forms the
-        # precision; the one dense block is the factor's, parity blocks
-        # need no factor
-        assert gram._chol is None and gram._precision is None and gram._jitter is None
-        assert gram._lattice == (w, h) and gram._row.shape == (n,)
+        grid = sio.make_grid(w, h)
+        gram = build_gram(grid, kernel)
+        assert gram._precision is None
+        if n_blocks == 1:
+            assert gram._lattice is None and gram._row is None and gram._jitter == 0.0
+            assert gram._chol.shape == (n, n)
+        else:
+            assert gram._chol is None and gram._jitter is None
+            assert gram._lattice == (w, h) and gram._row.shape == (n,)
         Zc = np.random.default_rng(17).standard_normal((2, n))
         ZcKinv = gram._rsolve(Zc)
         assert gram._precision is not None and (gram._chol is None) == (n_blocks == 4)
-        lattice, blocks = gram._blocks
-        assert lattice == (None if n_blocks == 1 else (w, h))
+        blocks = gram._blocks
         assert len(blocks) == n_blocks and sum(B.size for B in blocks) == n * n // n_blocks
         for B in blocks:
             assert B.flags.c_contiguous and not B.flags.writeable
             assert np.array_equal(B, B.T)
+        # with no jitter, the dense operator's K is its factor's product and
+        # a lattice operator's the kernel matrix itself
         K = gram.matrix
-        assert np.array_equal(K, gram.chol @ gram.chol.T)
+        assert np.array_equal(K, gram.chol @ gram.chol.T if n_blocks == 1 else kernel(grid, grid))
         # K^-1 row by row
         assert np.max(np.abs(gram._rsolve(np.eye(n)) @ K - np.eye(n))) < 1e-10
         assert np.max(np.abs(ZcKinv - np.linalg.solve(K, Zc.T).T)) < 1e-10
@@ -510,7 +553,7 @@ def test_gram_peak_memory_is_three_matrices():
             solved, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gram._blocks[0] == (24, 24)
+        assert gram._lattice == (24, 24) and len(gram._blocks) == 4
         assert build_peak <= 3.05 * nbytes and built <= 1.05 * nbytes
         assert solve_peak - built <= 0.42 * nbytes and solved - built <= 0.26 * nbytes
         del gram
@@ -545,10 +588,10 @@ def test_lattice_factor_and_blocks_formed_from_the_row_keep_the_bits(first, sigm
     if first == "blocks":
         gram._rsolve(np.ones(len(grid)))
     L = gram.chol
-    lattice, blocks = gram._blocks
-    assert gram.applied_jitter == 0.0 and lattice == (32, 32)
+    blocks = gram._blocks
+    assert gram.applied_jitter == 0.0 and gram._lattice == (32, 32)
     assert np.array_equal(L, _lapack.dpotrf(kernel(grid, grid), lower=1, clean=1)[0])
-    _, want = GramMatrix._from_row(L[0, 0] * L[:, 0], lattice)._blocks
+    want = GramMatrix._from_row(L[0, 0] * L[:, 0], gram._lattice)._blocks
     for B, W in zip(blocks, want):
         if sigma_k2 == 1.0:
             assert np.array_equal(B, W)
@@ -679,8 +722,8 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
     side = int(np.ceil(np.sqrt(n)))
     gram = build_gram(sio.make_grid(side, side)[:n], KernelSpec(length_scale=3.0))
     K = gram.matrix
-    lattice, (P,) = gram._blocks
-    assert lattice is None
+    (P,) = gram._blocks
+    assert gram._lattice is None
     rng = np.random.default_rng(34)
     B = rng.standard_normal((n, 2))
     Zcs = (
@@ -732,25 +775,32 @@ def test_gram_solve_on_both_sides_of_the_symv_crossover(n, monkeypatch):
 @example(w=21, h=23, length_scale=10.0)  # odd by odd, above it
 @example(w=40, h=40, length_scale=10.0)
 def test_lattice_block_product_matches_the_dense_precision(w, h, length_scale):
-    # The parity blocks, formed from the factor's first row, give the product
-    # of the dense dpotri precision of the same factor; the factor's other
-    # uses do not see the lattice. The length scales are the pipeline's (10 px in the
-    # paper and in repro): both products err by about cond(K_U) eps, which
-    # grows with it.
+    # From the crossover on, the parity blocks, formed from the kernel's
+    # first row, give the product of the dense dpotri precision of the
+    # dense factor, and their own factors its log det. A smaller lattice
+    # gets the dense operator, whose every use reads its one factor. The
+    # length scales are the pipeline's (10 px in the paper and in repro):
+    # both products err by about cond(K_U) eps, which grows with it.
     gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=length_scale))
     dense = GramMatrix(gram.chol, gram.applied_jitter)
-    assert gram._lattice == (w, h) and dense._lattice is None
+    lattice = (w, h) if w * h >= _SYMV_MIN_PIXELS else None
+    assert gram._lattice == lattice and dense._lattice is None
     rng = np.random.default_rng(41 * w + h)
     Zc = rng.standard_normal((3, w * h))
     got, want = gram._rsolve(Zc), dense._rsolve(Zc)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    if w * h < _SYMV_MIN_PIXELS:
-        assert np.array_equal(got, want)
     L = gram.chol
-    E = rng.standard_normal((2, w * h))
-    assert np.array_equal(gram.matrix, L @ L.T) and np.array_equal(gram.matrix, dense.matrix)
-    assert gram.log_det == dense.log_det == 2.0 * np.sum(np.log(np.diag(L)))
-    assert np.array_equal(gram.sqrt_matvec(E), E @ L.T)
+    K = gram.matrix
+    if lattice is None:
+        assert np.array_equal(got, want)
+        E = rng.standard_normal((2, w * h))
+        assert np.array_equal(K, L @ L.T) and np.array_equal(K, dense.matrix)
+        assert gram.log_det == dense.log_det == 2.0 * np.sum(np.log(np.diag(L)))
+        assert np.array_equal(gram.sqrt_matvec(E), E @ L.T)
+    else:
+        # K filled from the row: the product of its factor, to rounding
+        assert np.max(np.abs(K - L @ L.T)) <= 1e-13
+        assert abs(gram.log_det - dense.log_det) <= 1e-12 * abs(dense.log_det)
 
 
 def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
@@ -760,8 +810,8 @@ def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
     gram = build_gram(sio.make_grid(1, n), KernelSpec(length_scale=10.0))
     Zc = np.random.default_rng(35).standard_normal((2, 3, n))
     want = GramMatrix(gram.chol)._rsolve(Zc)
-    lattice, blocks = gram._blocks
-    assert lattice == (1, n) and [len(B) for B in blocks] == [n // 2, n // 2, 0, 0]
+    blocks = gram._blocks
+    assert gram._lattice == (1, n) and [len(B) for B in blocks] == [n // 2, n // 2, 0, 0]
     calls = []
     dsymv = _lapack.dsymv
 
@@ -776,13 +826,14 @@ def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned():
+def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned(monkeypatch):
     # The kernel of this 1 x 600 strip factors with no jitter, but its even
     # parity block, 2 (K_U V_c)[representatives], has an eigenvalue near
-    # -5e-13. Formed first, the blocks run the jitter ladder and factor with
-    # 1e-10, and the solve passes the backward-error gate of the test below;
-    # formed after a draw, they must use the factor's jitter, 0, and the
-    # first solve raises.
+    # -5e-13. The blocks run the jitter ladder and factor with 1e-10, and
+    # the solve passes the backward-error gate of the test below. A draw,
+    # before or after a solve, factors the same blocks at the same jitter,
+    # so its covariance is the K_U the solve inverts, and the dense factor
+    # follows that jitter. Blocks that no jitter rescues raise at first use.
     grid = sio.make_grid(1, 600)
     kernel = KernelSpec(length_scale=1e15)
     Zc = np.random.default_rng(600).standard_normal((3, 600))
@@ -791,63 +842,128 @@ def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned():
     assert gram.applied_jitter == 1e-10 and gram._lattice == (1, 600)
     K = kernel(grid, grid) + 1e-10 * np.eye(600)
     assert np.linalg.norm(X @ K - Zc) <= 1e-15 * np.linalg.norm(K, 2) * np.linalg.norm(X)
-    drawn = build_gram(grid, kernel)
-    drawn.sqrt_matvec(Zc)
-    assert drawn.applied_jitter == 0.0
-    with pytest.raises(IllConditionedKernelError, match="block of the precision"):
-        drawn._rsolve(Zc)
+    for first_solve in (True, False):
+        drawn = build_gram(grid, kernel)
+        if first_solve:
+            drawn._rsolve(Zc)
+        D = drawn.sqrt_matvec(np.eye(600))
+        assert drawn.applied_jitter == 1e-10 and drawn._chol is None
+        assert np.max(np.abs(D.T @ D - K)) <= 1e-12
+        assert np.array_equal(drawn._rsolve(Zc), X) and np.array_equal(drawn.matrix, K)
+        assert np.array_equal(drawn.chol, _lapack.dpotrf(K, lower=1, clean=1)[0])
+    monkeypatch.setattr(_lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    for use in (GramMatrix.sqrt_matvec, GramMatrix._rsolve):
+        with pytest.raises(IllConditionedKernelError, match="parity block of K_U"):
+            use(build_gram(grid, kernel), Zc)
+
+
+def never_form_the_dense_factor(self):
+    raise AssertionError("the dense factor formed")
+
+
+@pytest.mark.parametrize("w, h", [(24, 20), (31, 17), (32, 32), (1, 600)])
+def test_lattice_draws_and_log_det_come_from_the_parity_blocks(w, h, monkeypatch):
+    # L = sum_c V_c diag(|orbit|)^-1 L_c, from the blocks' own factors L_c,
+    # has L L^T = K_U, and log det K_U = sum_c log det B_c - sum log |orbit|
+    # over the representatives; neither forms the dense factor. The 1 x 600
+    # strip has two empty classes.
+    monkeypatch.setattr(GramMatrix, "_form_factor", never_form_the_dense_factor)
+    gram = build_gram(sio.make_grid(w, h), KernelSpec(length_scale=10.0))
+    assert gram._lattice == (w, h)
+    K = gram.matrix
+    # E L^T for E = I is L^T
+    L = gram.sqrt_matvec(np.eye(w * h)).T
+    assert np.max(np.abs(L @ L.T - K)) <= 1e-12 * np.max(np.abs(K))
+    sign, want = np.linalg.slogdet(K)
+    assert sign == 1.0 and abs(gram.log_det - want) <= 1e-12 * abs(want)
+    assert gram._chol is None
+
+
+def test_prior_draw_init_at_64x64_forms_no_full_size_array(monkeypatch):
+    # A chain from prior-draw init draws through the blocks' factors, a
+    # quarter of N x N freed after the draw, and its first step forms the
+    # precision's blocks, another quarter: the dense factor, one 128 MB
+    # N x N array here, never forms.
+    monkeypatch.setattr(GramMatrix, "_form_factor", never_form_the_dense_factor)
+    grid = sio.make_grid(64, 64)
+    nbytes = len(grid) ** 2 * 8
+    spec = PriorSpec(P=3, sigma_a2=0.25, kernel=KernelSpec(length_scale=10.0))
+    S, _ = builtin_endmembers(16, 3)
+    cfg = SamplerConfig(step_size=5e-3, n_steps=2, burn_in=0, init="prior-draw", seed=1)
+    tracemalloc.start()
+    try:
+        gram = build_gram(grid, spec.kernel)
+        model = PosteriorModel(S, Observations(np.zeros((16, len(grid))), np.inf), spec, gram)
+        chain = mirror_langevin(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.n_samples == 2 and gram._chol is None
+    assert peak < 0.5 * nbytes
 
 
 def test_racing_threads_form_each_representation_once_with_one_jitter(monkeypatch):
-    # On the strip above the factor alone needs no jitter and the blocks
-    # alone 1e-10. Threads that draw and solve at once must agree on one:
-    # either the factor formed first, with 0, and every solve raised, or the
-    # blocks did, with 1e-10, and the factor carries it. The factor forms
-    # once either way.
+    # On the strip above the blocks need jitter 1e-10 and the dense factor
+    # alone none. Threads that draw, solve and read the factor at once must
+    # all take the blocks' jitter: the ladder runs once, from no jitter,
+    # the precision forms once (one dpotri per non-empty block) and the
+    # factor once, at 1e-10.
     grid = sio.make_grid(1, 600)
     kernel = KernelSpec(length_scale=1e15)
     jittered = kernel(grid, grid) + 1e-10 * np.eye(600)
-    dpotrf = _lapack.dpotrf
-    dense = []
+    dpotrf, dpotri, parity_blocks = _lapack.dpotrf, _lapack.dpotri, prior._parity_blocks
+    ladders, dense, inverted = [], [], []
+
+    def counting_blocks(row, jit, lattice):
+        if jit == 0.0:
+            ladders.append(jit)
+        return parity_blocks(row, jit, lattice)
 
     def counting(a, **kwargs):
         if a.shape == (600, 600):
             dense.append(a.shape)
         return dpotrf(a, **kwargs)
 
+    def counting_inverse(a, **kwargs):
+        inverted.append(a.shape)
+        return dpotri(a, **kwargs)
+
+    monkeypatch.setattr(prior, "_parity_blocks", counting_blocks)
     monkeypatch.setattr(_lapack, "dpotrf", counting)
+    monkeypatch.setattr(_lapack, "dpotri", counting_inverse)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
             gram = build_gram(grid, kernel)
-            dense.clear()
-            barrier = threading.Barrier(4)
-            raised = []
+            for log in (ladders, dense, inverted):
+                log.clear()
+            barrier = threading.Barrier(6)
+            draws, solves = [], []
 
             def draw():
                 barrier.wait()
-                gram.sqrt_matvec(np.ones(600))
+                draws.append(gram.sqrt_matvec(np.ones(600)))
 
             def solve():
                 barrier.wait()
-                try:
-                    gram._rsolve(np.ones(600))
-                except IllConditionedKernelError:
-                    raised.append(True)
+                solves.append(gram._rsolve(np.ones(600)))
 
-            threads = [threading.Thread(target=f) for f in (draw, solve, draw, solve)]
+            def factor():
+                barrier.wait()
+                gram.chol
+
+            threads = [threading.Thread(target=f) for f in (draw, solve, factor) * 2]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert len(dense) == 1
-            if gram.applied_jitter == 0.0:
-                assert len(raised) == 2
-            else:
-                assert gram.applied_jitter == 1e-10 and raised == []
-                assert np.array_equal(gram.chol, dpotrf(jittered, lower=1, clean=1)[0])
+            assert ladders == [0.0] and len(dense) == 1 and inverted == [(300, 300)] * 2
+            assert gram.applied_jitter == 1e-10
+            assert len(draws) == len(solves) == 2
+            assert np.array_equal(*draws) and np.array_equal(*solves)
+            assert np.array_equal(gram.chol, dpotrf(jittered, lower=1, clean=1)[0])
     finally:
         sys.setswitchinterval(interval)
 
@@ -864,7 +980,7 @@ def test_lattice_blocks_carry_the_jitter_of_the_factor(side):
     K = gram.matrix
     Zc = np.random.default_rng(side).standard_normal((3, side * side))
     got, want = gram._rsolve(Zc), GramMatrix(gram.chol, gram.applied_jitter)._rsolve(Zc)
-    assert gram._blocks[0] == (side, side)
+    assert gram._lattice == (side, side) and len(gram._blocks) == 4
     for X in (got, want):
         assert np.linalg.norm(X @ K - Zc) <= 1e-15 * np.linalg.norm(K, 2) * np.linalg.norm(X)
     assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
