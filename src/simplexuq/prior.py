@@ -24,12 +24,17 @@ KERNEL_KINDS = ("exponential", "dirac")
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
-# GramMatrix multiplies by a precision block of this many pixels or more
-# with one symmetric dsymv per row instead of a matmul, and a lattice of
-# this many pixels or more gets the parity-block operator (see GramMatrix). The dsymv crossover was measured
-# on a 2-core Xeon with 2 MiB of L2 per core (`lscpu -C`: 2M each, 4M over
-# both), OpenBLAS, one BLAS thread; not checked with multi-threaded BLAS or
-# other cache sizes.
+# This pixel count sets two decisions.
+# - A precision block this large or larger is multiplied by one symmetric
+#   dsymv per row, which reads half of it, not by one matmul. dsymv won from
+#   440-480 pixels on a 2-core Xeon with 2 MiB of L2 per core, OpenBLAS, one
+#   BLAS thread (BENCH_9.json); not checked with more BLAS threads or other
+#   cache sizes.
+# - An io.make_grid lattice this large or larger gets the row-held
+#   parity-block operator (see GramMatrix), a quarter of the dense factor's
+#   bytes: a 64x64 prior draw and first solve peak at 38 MB under
+#   tracemalloc against 166 MB (BENCH_26.json). Smaller lattices keep the
+#   dense operator: this side reuses the first decision's count, unmeasured.
 _SYMV_MIN_PIXELS = 480
 
 # Entries of one block of rows: a kernel evaluation fills its
@@ -166,19 +171,20 @@ class GramMatrix:
     diag(|orbit|), L = [V_c diag(|orbit|)^{-1} L_c] has L L^T = K_U: a
     draw feeds each L_c its class-sized part of the white noise, and
     ``log_det`` is sum_c log det B_c - sum log |orbit| over every class's
-    representatives. The first factorization runs the jitter ladder (none,
-    then 1e-10 up to 1e-4 times sigma_k2 on the diagonal), raising
+    representatives. Every Gram operator's factor comes from one routine,
+    `_factor_with_jitter`: the first factorization runs its jitter ladder
+    (none, then 1e-10 up to 1e-4 times sigma_k2 on the diagonal), raising
     ``IllConditionedKernelError`` if none succeeds, and later ones reuse
     its jitter: ``applied_jitter`` (0.0 when none was needed; a factor
     built by hand carries the one it is given). ``matrix`` is the row's
-    fill plus that jitter on the diagonal. Only ``chol``, which no
-    pipeline path reads, forms an N x N array: the kernel matrix, filled
-    from the row and factored in place at that jitter. Smaller lattices,
-    like other pixel sets, get the dense operator, whose one block, V = I,
-    has the factor ``chol``. One lock per operator serialises the forming,
-    so instances are safe to share across threads: the ladder runs once,
-    and the precision and ``chol`` form once each. What an instance
-    represents never changes; instances compare and hash by identity.
+    fill with that jitter on the diagonal. Only ``chol``, which no
+    pipeline path reads, forms an N x N array: that fill, factored in
+    place. Smaller lattices, like other pixel sets, get the dense
+    operator, whose one block, V = I, has the factor ``chol``. One lock
+    per operator serialises the forming, so instances are safe to share
+    across threads: the ladder runs once, and the precision and ``chol``
+    form once each. What an instance represents never changes; instances
+    compare and hash by identity.
 
     A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -243,35 +249,26 @@ class GramMatrix:
         """Each class's B_c^{-1} (V = I off the lattice): full, symmetric, C-ordered, read-only."""
         return self._formed("_precision", self._form_precision)
 
-    def _fill(self):
-        """The lattice kernel matrix, filled from the row without jitter."""
+    def _fill(self, jit):
+        """The lattice kernel matrix K_U + jit I, filled from the row."""
         w, h = self._lattice
         K = np.empty((w * h, w * h))
-        np.copyto(K.reshape(h, w, h, w), _offset_rows(self._row, self._lattice))
+        np.copyto(K.reshape(h, w, h, w), _offset_rows(self._row, jit, self._lattice))
         return K
 
     def _form_factor(self):
         """The dense factor of the lattice kernel matrix, at the blocks' jitter."""
-        L, _ = _cholesky_with_jitter(self._fill, float(self._row[0]), self.applied_jitter)
+        (L,), _ = _factor_with_jitter(lambda jit: [self._fill(jit).T], float(self._row[0]), self.applied_jitter)
         L.setflags(write=False)
         return L
 
     def _block_factors(self):
         """Each parity class's lower factor L_c of B_c, upper triangle zeroed,
-        as F-ordered views of one store; the first call runs the ladder."""
-        from ._lapack import dpotrf
-
+        as F-ordered views of one store; the first call sets the jitter."""
         with self._lock:
-            for jit in _jitter_ladder(float(self._row[0]), self._jitter):
-                factors = _parity_blocks(self._row, jit, self._lattice)
-                if all(dpotrf(B, lower=1, clean=1, overwrite_a=1)[1] == 0 for B in factors if B.size):
-                    break
-                factors = None  # one set of blocks at a time
-            else:
-                raise IllConditionedKernelError(
-                    f"a parity block of K_U is not positive definite even with jitter {jit:g}"
-                )
-            self._jitter = jit
+            factors, self._jitter = _factor_with_jitter(
+                lambda jit: _parity_blocks(self._row, jit, self._lattice), float(self._row[0]), self._jitter
+            )
         return factors
 
     def _form_precision(self):
@@ -300,9 +297,7 @@ class GramMatrix:
     def matrix(self):
         """K_U; the (N,) diagonal for a diagonal factor."""
         if self._lattice is not None:
-            K = self._fill()
-            K.reshape(-1)[:: len(K) + 1] += self.applied_jitter
-            return K
+            return self._fill(self.applied_jitter)
         if self.chol.ndim == 1:
             return self.chol * self.chol
         return self.chol @ self.chol.T
@@ -350,13 +345,14 @@ class GramMatrix:
         return E @ self.chol.T
 
 
-def _offset_rows(row, lattice):
-    """The rows of the stationary matrix whose corner pixel's row is ``row``,
-    as an (h, w, h, w) view of one (2h-1, 2w-1) table of the kernel at each
-    offset: pixel (x, y)'s row is [y, x]."""
+def _offset_rows(row, jit, lattice):
+    """The rows of K_U + jit I, for K_U the stationary matrix whose corner
+    pixel's row is ``row``, as an (h, w, h, w) view of one (2h-1, 2w-1)
+    table of the kernel at each offset: pixel (x, y)'s row is [y, x]."""
     w, h = lattice
     corner = row.reshape(h, w)
     table = corner[abs(np.arange(1 - h, h))][:, abs(np.arange(1 - w, w))]
+    table[h - 1, w - 1] += jit
     return np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
 
 
@@ -378,9 +374,7 @@ def _parity_blocks(row, jit, lattice):
     ends = np.cumsum([o.size**2 for o in orbits])
     store = np.zeros(ends[-1])
     factors = [store[e - o.size**2 : e].reshape(o.size, o.size, order="F") for o, e in zip(orbits, ends)]
-    corner = row.copy()
-    corner[0] += jit
-    rows = _offset_rows(corner, lattice)
+    rows = _offset_rows(row, jit, lattice)
     # the x-even/y-even class has every representative
     we, he = orbits[0].shape
     orbit = orbits[0][:, :, None, None]
@@ -461,41 +455,31 @@ def _unfold(parts, lattice):
     return _mirror_unfold(*x).reshape(lead + (w * h,))
 
 
-def _jitter_ladder(scale, jitter=None):
-    """The diagonal jitters to factor with, in turn: ``jitter`` alone when
-    an operator has one, else none and then 1e-10*scale up to 1e-4*scale."""
-    if jitter is not None:
-        return [jitter]
-    jitters = [0.0]
-    j = _JITTER_START * scale
-    while j <= _JITTER_MAX * scale * (1 + 1e-9):
-        jitters.append(j)
-        j *= 10.0
-    return jitters
+def _factor_with_jitter(make_blocks, scale, jitter=None):
+    """Factor the blocks of K_U + jit I in place; returns them and jit.
 
-
-def _cholesky_with_jitter(make_K, scale, jitter=None):
-    """Factor make_K() in place, with each jitter of `_jitter_ladder` on its
-    diagonal in turn until one succeeds; returns the factor and its jitter.
-
-    ``make_K`` returns a new, exactly symmetric, C-ordered matrix on each
-    call. LAPACK ``dpotrf`` factors its transpose, which equals it and is
-    F-ordered as LAPACK reads it, so the lower factor returned is the
-    matrix's own memory. A failed attempt has overwritten its matrix, and
-    ``clean`` has zeroed the untouched triangle, so the next attempt asks
-    for a new one after dropping it: one N x N array at a time.
+    ``make_blocks(jit)`` returns new, exactly symmetric, F-ordered matrices
+    with ``jit`` on their diagonals. LAPACK ``dpotrf`` factors each in
+    place, so each lower factor is its matrix's own memory, upper triangle
+    zeroed. ``jit`` is ``jitter`` alone when given, else none and then
+    1e-10*scale up to 1e-4*scale in turn, until every block factors. A
+    failed set is dropped before the next is made: one set at a time.
     """
     from ._lapack import dpotrf
 
-    for jit in _jitter_ladder(scale, jitter):
-        K = make_K()
-        n = len(K)
-        K.reshape(-1)[:: n + 1] += jit
-        L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
-        if info == 0:
-            return L, jit
-        del K, L
-    raise IllConditionedKernelError(f"Cholesky failed for a {n}x{n} Gram matrix even with jitter {jit:g}")
+    jitters = [jitter]
+    if jitter is None:
+        jitters, jit = [0.0], _JITTER_START * scale
+        while jit <= _JITTER_MAX * scale * (1 + 1e-9):
+            jitters.append(jit)
+            jit *= 10.0
+    for jit in jitters:
+        blocks = make_blocks(jit)
+        n = sum(map(len, blocks))
+        if all(dpotrf(B, lower=1, clean=1, overwrite_a=1)[1] == 0 for B in blocks if B.size):
+            return blocks, jit
+        del blocks
+    raise IllConditionedKernelError(f"K_U of {n} pixels is not positive definite even with jitter {jit:g}")
 
 
 def _as_pixels(U):
@@ -516,9 +500,10 @@ def build_gram(grid, kernel):
     pixels, the exponential kernel is held as its first row, and nothing
     is factored until the operator is used (see `GramMatrix`). On other
     pixel sets, smaller lattices included, the kernel matrix is evaluated
-    once and factored in place (LAPACK ``dpotrf``), and the factor is kept
-    without a copy: set-up holds one N x N array. A failed factorization
-    evaluates the kernel again for the next jitter. The kernel's offset
+    once and factored in place by `_factor_with_jitter`, the one routine
+    that factors every Gram operator, and the factor is kept without a
+    copy: set-up holds one N x N array. A failed factorization evaluates
+    the kernel again for the next jitter. The kernel's offset
     table covers the pixels' bounding box (see `KernelSpec`): fewer than
     4 w h entries for pixels of one w x h image.
 
@@ -559,9 +544,15 @@ def build_gram(grid, kernel):
         from . import _lapack  # noqa: F401
 
         return GramMatrix._from_row(kernel(grid[:1], grid)[0], lattice)
-    # kernel(grid, grid) is exactly symmetric: each entry squares a difference
-    # and its exact negation
-    L, jitter = _cholesky_with_jitter(lambda: kernel(grid, grid), kernel.sigma_k2)
+
+    def make_K(jit):
+        # kernel(grid, grid) is exactly symmetric: each entry squares a
+        # difference and its exact negation
+        K = kernel(grid, grid)
+        K.reshape(-1)[:: len(K) + 1] += jit
+        return [K.T]
+
+    (L,), jitter = _factor_with_jitter(make_K, kernel.sigma_k2)
     return GramMatrix(L, jitter)
 
 

@@ -18,7 +18,7 @@ from simplexuq.prior import (
     GramMatrix,
     KernelSpec,
     PriorSpec,
-    _cholesky_with_jitter,
+    _factor_with_jitter,
     build_gram,
     gp_prior_logpdf,
     gp_prior_sample,
@@ -347,16 +347,28 @@ def test_gram_rejects_duplicate_coordinates():
                 build_gram(grid, KernelSpec(kind="dirac"))
 
 
+def jittered(K):
+    """make_blocks for `_factor_with_jitter`: a new F-ordered copy of the
+    symmetric K with jit added to its diagonal, on each call."""
+
+    def make(jit):
+        B = np.array(K, order="F")
+        B[np.diag_indices_from(B)] += jit
+        return [B]
+
+    return make
+
+
 def test_cholesky_jitter_escalation_and_failure():
     # A barely indefinite matrix is rescued by the escalating jitter...
     K = np.eye(3)
     K[0, 0] = -1e-7
-    L, jit = _cholesky_with_jitter(K.copy, scale=1.0)
+    (L,), jit = _factor_with_jitter(jittered(K), scale=1.0)
     assert jit > 1e-7
     # ...but a strongly indefinite one exhausts the policy.
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IllConditionedKernelError):
-        _cholesky_with_jitter(bad.copy, scale=1.0)
+        _factor_with_jitter(jittered(bad), scale=1.0)
 
 
 def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch):
@@ -378,7 +390,7 @@ def test_jittered_matrix_and_gram_factor_match_the_identity_formula(monkeypatch)
         return dpotrf(K, lower=1, clean=1)[0]
 
     monkeypatch.setattr(_lapack, "dpotrf", recording)
-    L, jit = _cholesky_with_jitter(indefinite.copy, 1.0)
+    (L,), jit = _factor_with_jitter(jittered(indefinite), 1.0)
     assert jit > 0 and len(calls) >= 2
     assert np.array_equal(calls[-1], indefinite + jit * np.eye(len(indefinite)))
     assert np.array_equal(L, factor(indefinite + jit * np.eye(len(indefinite))))
@@ -443,7 +455,7 @@ def test_exponential_gram_factors_the_kernel_matrix_in_place(monkeypatch):
     del Q
     tracemalloc.start()
     try:
-        L, jit = _cholesky_with_jitter(K.copy, scale=1.0)
+        (L,), jit = _factor_with_jitter(jittered(K), scale=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -562,17 +574,21 @@ def test_gram_peak_memory_is_three_matrices():
 def test_first_lattice_solve_allocates_no_full_size_array():
     # At 32 x 32 the dense factor or precision would be one 8 MB array; the
     # build keeps the kernel's first row, 8 KiB, the blocks are one 2 MB
-    # array and each panel of rows of K_U 64 KiB.
+    # array and each panel of rows of K_U 64 KiB. At length scale 1e15 the
+    # first block fails without jitter and all four factor with 1e-10: the
+    # failed set is freed before the next is filled.
     nbytes = (32 * 32) ** 2 * 8
-    tracemalloc.start()
-    try:
-        gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=10.0))
-        gram._rsolve(np.ones((2, 32 * 32)))
-        solved, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert gram._chol is None
-    assert peak < 0.3 * nbytes and solved <= 0.26 * nbytes
+    for length_scale, jitter in ((10.0, 0.0), (1e15, 1e-10)):
+        tracemalloc.start()
+        try:
+            gram = build_gram(sio.make_grid(32, 32), KernelSpec(length_scale=length_scale))
+            gram._rsolve(np.ones((2, 32 * 32)))
+            solved, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram._chol is None and gram.applied_jitter == jitter
+        assert peak < 0.3 * nbytes and solved <= 0.26 * nbytes
+        del gram
 
 
 @pytest.mark.parametrize("sigma_k2", [1.0, 0.37])
@@ -853,8 +869,28 @@ def test_lattice_block_that_is_not_positive_definite_is_ill_conditioned(monkeypa
         assert np.array_equal(drawn.chol, _lapack.dpotrf(K, lower=1, clean=1)[0])
     monkeypatch.setattr(_lapack, "dpotrf", lambda a, **kwargs: (a, 1))
     for use in (GramMatrix.sqrt_matvec, GramMatrix._rsolve):
-        with pytest.raises(IllConditionedKernelError, match="parity block of K_U"):
+        with pytest.raises(IllConditionedKernelError, match="K_U of 600 pixels is not positive definite"):
             use(build_gram(grid, kernel), Zc)
+
+
+def test_every_operator_that_no_jitter_rescues_raises_one_error(monkeypatch):
+    # Scattered pixels and a lattice under 480 pixels raise in build_gram,
+    # a 24 x 20 lattice at first use; all after the same ladder of eight
+    # attempts (none, then 1e-10 up to 1e-4), with the same message.
+    attempts = []
+
+    def failing(a, **kwargs):
+        attempts.append(a.shape)
+        return a, 1
+
+    monkeypatch.setattr(_lapack, "dpotrf", failing)
+    scattered = np.array([[0, 0], [3, 1], [7, 5], [2, 9], [11, 4]])
+    for pixels in (scattered, sio.make_grid(6, 5), sio.make_grid(24, 20)):
+        attempts.clear()
+        with pytest.raises(IllConditionedKernelError) as err:
+            build_gram(pixels, KernelSpec(length_scale=3.0)).log_det
+        assert str(err.value) == f"K_U of {len(pixels)} pixels is not positive definite even with jitter 0.0001"
+        assert len(attempts) == 8
 
 
 def never_form_the_dense_factor(self):
