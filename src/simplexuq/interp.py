@@ -35,7 +35,7 @@ import numpy as np
 
 from . import geometry
 from .errors import IllConditionedKernelError
-from .prior import _as_float, _as_pixels
+from .prior import _as_float, _as_indices, _as_pixels
 
 # Grid pixels per block of the cross-covariance. Block sizes from 128 to
 # 768 took the same time with K = 921 observed pixels (BENCH_14.json).
@@ -57,17 +57,7 @@ class PartialObservation:
     nugget: float = 0.0
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("need at least one observed pixel")
-        # a boolean mask or float indices would cast silently to other pixels
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"observed indices must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(int, copy=False)
-        # sorted, then neighbours compared: np.unique would import numpy.ma
-        s = np.sort(idx)
-        if np.any(s[1:] == s[:-1]):
-            raise ValueError("observed indices must be unique")
+        idx = _as_indices(self.indices, "observation")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != idx.size:
             raise ValueError(
@@ -105,7 +95,7 @@ def interpolate(obs, spec, grid):
     """
     grid = _as_pixels(grid)
     N = len(grid)
-    if np.any(obs.indices < 0) or np.any(obs.indices >= N):
+    if np.any(obs.indices >= N):
         raise ValueError("observed indices outside the grid")
     if obs.values.shape[0] != spec.P:
         raise ValueError(

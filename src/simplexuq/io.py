@@ -23,6 +23,8 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
+from .prior import KernelSpec, PriorSpec, _as_count, _as_indices
+from .sampler import SamplerConfig, check_endmembers
 
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
@@ -199,8 +201,8 @@ def _write_csv(path, header, rows, labels=None):
 def _check_endmembers(S, names):
     """The endmember rule, applied by `write_endmembers` to what it writes
     and by `load_endmembers` to what it reads: at least 2 names, distinct
-    strings without surrounding whitespace, and a finite (L, P) matrix with
-    a column per name and at least one band."""
+    strings without surrounding whitespace, an (L, P) matrix with a column
+    per name, and the matrix rule of `sampler.check_endmembers`."""
     P = len(names)
     if P < 2:
         raise ValueError(f"need at least 2 endmember columns, found {P}")
@@ -211,10 +213,7 @@ def _check_endmembers(S, names):
         raise ValueError(f"endmember names {names} repeat a name")
     if S.ndim != 2 or S.shape[1] != P:
         raise ValueError(f"endmember matrix of shape {S.shape} for {P} names")
-    if len(S) < 1:
-        raise ValueError("endmember matrix needs at least one band row")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("endmember matrix contains non-finite values")
+    check_endmembers(S, warn=False)
 
 
 def load_endmembers(path):
@@ -248,43 +247,25 @@ def write_endmembers(path, S, names):
     _write_csv(path, names, S)
 
 
-def _check_mask(idx):
-    """The mask rule, applied by `write_mask` to what it writes and by
-    `load_mask` to what it reads: at least one pixel index, each an
-    integer, nonnegative and listed once."""
-    if idx.ndim != 1:
-        raise ValueError(f"mask indices must be one list, got shape {idx.shape}")
-    if idx.size == 0:
-        raise ValueError("mask lists no pixels")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"mask entries must be integer pixel indices, got dtype {idx.dtype}")
-    if np.any(idx < 0):
-        raise ValueError("mask indices must be nonnegative")
-    # sorted, then neighbours compared: np.unique would import numpy.ma
-    s = np.sort(idx)
-    if np.any(s[1:] == s[:-1]):
-        raise ValueError("mask indices must be unique")
-
-
 def load_mask(path):
     """Observed-pixel indices, one per line (optional 'index' header)."""
     with open(path, "r", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if rows and rows[0] and rows[0][0].strip().lower() == "index":
         rows = rows[1:]
+    if any(len(r) != 1 for r in rows):
+        raise ValueError("mask rows must hold one pixel index each")
     try:
         idx = np.array([int(r[0]) for r in rows], dtype=int)
     except ValueError:
         raise ValueError("mask entries must be integer pixel indices") from None
-    _check_mask(idx)
-    return idx
+    return _as_indices(idx, "mask")
 
 
 def write_mask(path, indices):
     """Write pixel indices one per line under an 'index' header;
     ValueError, and no file, for what `load_mask` would refuse."""
-    idx = np.asarray(indices)
-    _check_mask(idx)
+    idx = _as_indices(indices, "mask")
     _atomic_write_text(path, "\n".join(["index", *map(str, idx.tolist())]) + "\n")
 
 
@@ -301,8 +282,7 @@ def read_float_csv(path):
 
 def make_grid(width, height):
     """Row-major pixel coordinates (x, y), shape (width*height, 2)."""
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
+    width, height = _as_count(width, "grid width"), _as_count(height, "grid height")
     ys, xs = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
     return np.column_stack([xs.ravel(), ys.ravel()])
 
@@ -443,8 +423,6 @@ def load_run_config(path):
 def config_to_prior_spec(cfg):
     """Build a PriorSpec from a validated config document. Keys the config
     omits take the defaults of `KernelSpec`."""
-    from .prior import KernelSpec, PriorSpec
-
     prior = cfg["prior"]
     kernel = KernelSpec(**prior["kernel"])
     mean = np.array(prior["mean"], dtype=float) if prior.get("mean") is not None else None
@@ -455,8 +433,6 @@ def config_to_sampler_config(cfg):
     """Build a SamplerConfig from a validated config document. Keys the
     config omits take the defaults of `SamplerConfig`; ``algorithm`` picks
     the sampler and is read by the caller."""
-    from .sampler import SamplerConfig
-
     return SamplerConfig(**{k: v for k, v in cfg["sampler"].items() if k != "algorithm"})
 
 

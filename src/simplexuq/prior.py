@@ -34,7 +34,11 @@ _JITTER_MAX = 1e-4
 #   parity-block operator (see GramMatrix), a quarter of the dense factor's
 #   bytes: a 64x64 prior draw and first solve peak at 38 MB under
 #   tracemalloc against 166 MB (BENCH_26.json). Smaller lattices keep the
-#   dense operator: this side reuses the first decision's count, unmeasured.
+#   dense operator, whose two-row _rsolve is faster there, as folding and
+#   unfolding alone take about 40 us: 13.4 against 45.7 us at 16x16. The
+#   crossover lies just above this count: 49.6 against 57.0 us at 22x22
+#   (484 pixels), 83.9 against 60.9 us at 24x24 (best of 7 runs, one BLAS
+#   thread, the machine above).
 _SYMV_MIN_PIXELS = 480
 
 # Entries of one block of rows: a kernel evaluation fills its
@@ -80,12 +84,7 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         for name in ("length_scale", "sigma_k2"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        # Chained comparisons reject NaN as well as infinity.
-        if not 0 < self.length_scale < np.inf:
-            raise ValueError("length_scale must be positive and finite")
-        if not 0 < self.sigma_k2 < np.inf:
-            raise ValueError("sigma_k2 must be positive and finite")
+            object.__setattr__(self, name, _as_positive(getattr(self, name), name))
 
     def __call__(self, U1, U2):
         """Cross-covariance matrix between two pixel coordinate sets (n1, 2), (n2, 2)."""
@@ -135,6 +134,43 @@ def _as_float(value, name):
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
+
+
+def _as_positive(value, name):
+    """`_as_float`; ValueError unless the result is positive and finite."""
+    value = _as_float(value, name)
+    # Chained comparisons reject NaN as well as infinity.
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _as_count(value, name, minimum=1):
+    """int(value); ValueError unless it is a Python or numpy integer, not a
+    bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _as_indices(idx, name):
+    """Pixel indices as a 1-D integer array; ValueError unless they list at
+    least one pixel, each nonnegative and once."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1:
+        raise ValueError(f"{name} indices must be one list, got shape {idx.shape}")
+    if idx.size == 0:
+        raise ValueError(f"{name} lists no pixels")
+    # a boolean mask or float indices would cast silently to other pixels
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{name} entries must be integer pixel indices, got dtype {idx.dtype}")
+    if np.any(idx < 0):
+        raise ValueError(f"{name} indices must be nonnegative")
+    # sorted, then neighbours compared: np.unique would import numpy.ma
+    s = np.sort(idx)
+    if np.any(s[1:] == s[:-1]):
+        raise ValueError(f"{name} indices must be unique")
+    return idx
 
 
 class GramMatrix:
@@ -587,11 +623,8 @@ class PriorSpec:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.P < 2:
-            raise ValueError("need at least 2 parts")
-        object.__setattr__(self, "sigma_a2", _as_float(self.sigma_a2, "sigma_a2"))
-        if not 0 < self.sigma_a2 < np.inf:
-            raise ValueError("sigma_a2 must be positive and finite")
+        geometry.helmert_basis(self.P)  # InvalidDimensionError unless P is an integer >= 2
+        object.__setattr__(self, "sigma_a2", _as_positive(self.sigma_a2, "sigma_a2"))
         if self.mean is not None:
             m = np.asarray(self.mean, dtype=float)
             if m.shape != (self.P - 1,):
@@ -631,8 +664,7 @@ def pixel_prior_sample(spec, n_samples, rng):
     Deterministic for a given seed; ``rng`` may be an integer seed or a
     ``numpy.random.Generator``.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _as_count(n_samples, "n_samples")
     rng = np.random.default_rng(rng)
     z = spec.latent_mean + np.sqrt(spec.sigma_a2) * rng.standard_normal((n_samples, spec.P - 1))
     return geometry.ilr_inv(z, spec.H)
@@ -640,6 +672,7 @@ def pixel_prior_sample(spec, n_samples, rng):
 
 def sample_latent_field(spec, gram, n_samples, rng):
     """Matrix-normal latent draws Z ~ MN(mean, sigma_a2 I, K_U), shape (M, P-1, N)."""
+    n_samples = _as_count(n_samples, "n_samples")
     rng = np.random.default_rng(rng)
     N = gram.n_pixels
     E = rng.standard_normal((n_samples, spec.P - 1, N))

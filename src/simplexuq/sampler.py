@@ -29,18 +29,21 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError
-from .prior import GramMatrix, PriorSpec, _as_float, prior_quadratic, sample_latent_field
+from .prior import GramMatrix, PriorSpec, _as_count, _as_float, _as_positive, prior_quadratic, sample_latent_field
 
 INIT_MODES = ("prior-draw", "uniform-image")
 
 
 def check_endmembers(S, warn=True):
-    """Validate an endmember matrix (L bands x P materials)."""
+    """Validate an endmember matrix (L bands x P materials): finite, with at
+    least one band row and two distinct columns."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("endmember matrix must be 2-D (bands x materials)")
+    if len(S) < 1:
+        raise ValueError("endmember matrix needs at least one band row")
     if not np.all(np.isfinite(S)):
-        raise ValueError("endmember matrix must be finite")
+        raise ValueError("endmember matrix contains non-finite values")
     L, P = S.shape
     if P < 2:
         raise ValueError("need at least 2 endmembers")
@@ -221,17 +224,13 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "step_size", _as_float(self.step_size, "step_size"))
-        if not 0 < self.step_size < np.inf:
-            raise ValueError("step_size must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.burn_in is None:
-            object.__setattr__(self, "burn_in", self.n_steps // 5)
-        if not 0 <= self.burn_in < self.n_steps:
+        object.__setattr__(self, "step_size", _as_positive(self.step_size, "step_size"))
+        for name, minimum in (("n_steps", 1), ("thinning", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name, minimum))
+        burn_in = self.n_steps // 5 if self.burn_in is None else _as_count(self.burn_in, "burn_in", 0)
+        if burn_in >= self.n_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_steps")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+        object.__setattr__(self, "burn_in", burn_in)
         if isinstance(self.init, str):
             if self.init not in INIT_MODES:
                 raise ValueError(f"init must be an array or one of {INIT_MODES}")

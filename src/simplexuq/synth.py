@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import _as_pixels, build_gram, gp_prior_sample
+from .prior import _as_count, _as_pixels, build_gram, gp_prior_sample
 from .sampler import check_endmembers
 
 
@@ -26,10 +26,7 @@ def builtin_endmembers(n_bands=64, n_materials=3):
 
     Returns (S, names).
     """
-    if n_materials < 2:
-        raise ValueError("need at least 2 materials")
-    if n_bands < 2:
-        raise ValueError("need at least 2 bands")
+    n_bands, n_materials = _as_count(n_bands, "n_bands", 2), _as_count(n_materials, "n_materials", 2)
     lam = np.linspace(0.0, 1.0, n_bands)
     S = np.empty((n_bands, n_materials))
     n_bright = n_materials - 1

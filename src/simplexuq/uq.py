@@ -18,12 +18,13 @@ matching the convention of the prior log-densities. Region export is
 limited to P <= 4; scalar statistics work for any P.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .prior import _as_float
+from .prior import _as_count, _as_positive
 
 ESTIMATORS = ("barycentric-histogram", "latent-kde")
 
@@ -124,8 +125,7 @@ class BarycentricGrid:
     def __init__(self, P, bins):
         if P not in (2, 3):
             raise ValueError("barycentric histograms support P = 2 or 3 only")
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
+        bins = _as_count(bins, "bins")
         self.P = P
         self.bins = bins
         if P == 2:
@@ -327,8 +327,8 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
         raise ValueError("alpha must be in (0, 1)")
     if M < 1.0 / alpha:
         raise ValueError(f"need at least {int(np.ceil(1.0 / alpha))} samples for alpha={alpha}")
-    if bandwidth is not None and not 0 < _as_float(bandwidth, "bandwidth") < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
+    if bandwidth is not None:
+        bandwidth = _as_positive(bandwidth, "bandwidth")
     if estimator is None:
         estimator = "barycentric-histogram" if P <= 3 else "latent-kde"
     if estimator not in ESTIMATORS:
@@ -408,6 +408,8 @@ def summarize_image(chain, shape=None):
     samples = chain if isinstance(chain, np.ndarray) else chain.abundances
     if samples.ndim != 3 or samples.shape[0] < 1:
         raise ValueError("need a nonempty chain of images (M, P, N)")
+    if shape is not None and (len(shape) != 2 or math.prod(shape) != samples.shape[2]):
+        raise ValueError(f"map shape {tuple(shape)} holds {math.prod(shape)} pixels, the chain {samples.shape[2]}")
     eu_mean, geo_mean, eu_var, geo_var, ilr_var = _moments(np.swapaxes(samples, 1, 2))
     return ImageSummary(
         euclidean_mean=eu_mean.T,

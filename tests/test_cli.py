@@ -137,12 +137,13 @@ def test_kde_bandwidth_must_be_positive(tmp_path, capsys, bandwidth):
 
 
 def test_sample_prior_of_no_samples_writes_no_stack(tmp_path, capsys):
-    # a stack of zero frames would be refused by read_abundance_stack
+    # a stack of zero frames would be refused by read_abundance_stack; the
+    # draw refuses the count before anything is written
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, paths={"output_dir": str(tmp_path)})
     assert main(["--error-json", "sample-prior", "--config", str(cfg_path), "--n-samples", "0"]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["message"] == "header key 'n_frames' must be a positive integer, got 0"
+    assert payload["message"] == "n_samples must be an integer >= 1, got 0"
     assert not (tmp_path / "prior_samples.stack").exists()
 
 

@@ -142,11 +142,11 @@ def test_observation_validation():
     with pytest.raises(ValueError):
         PartialObservation(np.array([], dtype=int), np.zeros((3, 0)))
     # an empty list is float64 to numpy: the emptiness check answers first
-    with pytest.raises(ValueError, match="at least one observed pixel"):
+    with pytest.raises(ValueError, match="observation lists no pixels"):
         PartialObservation([], np.zeros((3, 0)))
     # a boolean mask would become indices [1, 0], floats would truncate
     for bad in ([True, False], np.array([0.9, 2.7]), np.array([0.0, 2.0])):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be integer pixel indices"):
             PartialObservation(bad, np.full((3, 2), 1.0 / 3.0))
     with pytest.raises(ValueError):
         PartialObservation(np.array([0, 0]), np.full((3, 2), 1.0 / 3.0))

@@ -372,6 +372,18 @@ def test_endmember_writer_refuses_what_the_reader_refuses(tmp_path, S, names, me
         sio.load_endmembers(p)
 
 
+def test_endmember_writer_and_reader_refuse_identical_columns(tmp_path):
+    # the model would refuse them only at unmix
+    p = tmp_path / "end.csv"
+    S = np.array([[0.1, 0.5, 0.1], [0.2, 0.6, 0.2]])
+    with pytest.raises(ValueError, match="columns 0 and 2 are identical"):
+        sio.write_endmembers(p, S, ["a", "b", "c"])
+    assert not p.exists()
+    sio._write_csv(p, ["a", "b", "c"], S)
+    with pytest.raises(ValueError, match="columns 0 and 2 are identical"):
+        sio.load_endmembers(p)
+
+
 @pytest.mark.parametrize(
     "indices, message",
     [

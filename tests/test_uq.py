@@ -333,6 +333,14 @@ def test_summarize_requires_nonempty_chain():
         summarize_image(np.zeros((0, 3, 4)))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4, 4), (8,), (1, 2, 4)])
+def test_summarize_refuses_a_map_shape_of_other_pixel_count(shape):
+    # as_map would fail later with numpy's reshape error
+    chain = np.full((2, 3, 8), 1.0 / 3.0)
+    with pytest.raises(ValueError, match=f"holds {np.prod(shape)} pixels, the chain 8"):
+        summarize_image(chain, shape=shape)
+
+
 def whole_chain_moments(samples):
     """The moments of (M, ..., P) samples by numpy's mean and var over the
     whole stack at once: the bits a blocked summary must reproduce."""
