@@ -149,11 +149,6 @@ def softmax(w, out=None):
     when given (which may be ``w`` itself); both forms give the same bits."""
     w = np.asarray(w, dtype=float)
     m = np.maximum.reduce(w, axis=-1, keepdims=True)
-    if out is None:
-        # On tiny arrays the operators cost less than calls with ``out``:
-        # in place, fig2's chain (one (1, P) softmax a step) ran 1 % slower.
-        e = np.exp(w - m)
-        return e / np.add.reduce(e, axis=-1, keepdims=True)
     e = np.subtract(w, m, out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

@@ -129,7 +129,11 @@ class KernelSpec:
 
 
 def _as_float(value, name):
-    """float(value); ValueError for an int too large for a float, which a range check accepts."""
+    """float(value) of a Python or numpy real number, not a bool; ValueError
+    for anything else, and for an int too large for a float, which a range
+    check accepts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -151,6 +155,12 @@ def _as_count(value, name, minimum=1):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _as_rng(rng):
+    """``rng`` itself if it is a numpy Generator, else one seeded by it
+    under the count rule: an integer seed of at least 0."""
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_as_count(rng, "rng seed", 0))
 
 
 def _as_indices(idx, name):
@@ -623,7 +633,7 @@ class PriorSpec:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        geometry.helmert_basis(self.P)  # InvalidDimensionError unless P is an integer >= 2
+        object.__setattr__(self, "P", _as_count(self.P, "P", 2))
         object.__setattr__(self, "sigma_a2", _as_positive(self.sigma_a2, "sigma_a2"))
         if self.mean is not None:
             m = np.asarray(self.mean, dtype=float)
@@ -665,7 +675,7 @@ def pixel_prior_sample(spec, n_samples, rng):
     ``numpy.random.Generator``.
     """
     n_samples = _as_count(n_samples, "n_samples")
-    rng = np.random.default_rng(rng)
+    rng = _as_rng(rng)
     z = spec.latent_mean + np.sqrt(spec.sigma_a2) * rng.standard_normal((n_samples, spec.P - 1))
     return geometry.ilr_inv(z, spec.H)
 
@@ -673,7 +683,7 @@ def pixel_prior_sample(spec, n_samples, rng):
 def sample_latent_field(spec, gram, n_samples, rng):
     """Matrix-normal latent draws Z ~ MN(mean, sigma_a2 I, K_U), shape (M, P-1, N)."""
     n_samples = _as_count(n_samples, "n_samples")
-    rng = np.random.default_rng(rng)
+    rng = _as_rng(rng)
     N = gram.n_pixels
     E = rng.standard_normal((n_samples, spec.P - 1, N))
     Z = np.sqrt(spec.sigma_a2) * gram.sqrt_matvec(E)

@@ -157,26 +157,31 @@ def _misfit(A, model):
     """
     D = A - model._Xs
     G = model._StS @ D
-    return (np.vdot(D, G) + model._c) / (2.0 * model.obs.sigma2), G / model.obs.sigma2
+    misfit = (np.vdot(D, G) + model._c) / (2.0 * model.obs.sigma2)
+    G /= model.obs.sigma2
+    return misfit, G
 
 
 def _latent_state(Z, model):
-    """Fused potential and gradient at Z (one product with K_U^{-1}).
+    """Fused potential, gradient and image at Z (one product with K_U^{-1}).
 
+    Returns U(Z), its gradient and A = softmax(H Z), the (P, N) image with
+    no floor, or None for a prior-only model, which computes no softmax.
     The one evaluation behind the chain, `latent_neg_log_posterior` and
     `latent_gradient`. Overflow to inf is deliberate: a diverging chain must
     produce a non-finite energy for the caller to report, so callers run it
     under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     U, G = prior_quadratic(Z, model.prior, model.gram)
-    if not model._prior_only:
-        A = geometry.softmax((model._H @ Z).T).T  # (P, N)
-        misfit, Ga = _misfit(A, model)
-        U += misfit
-        AGa = A * Ga
-        T = AGa - A * np.add.reduce(AGa, axis=0, keepdims=True)
-        G = G + model._H.T @ T
-    return float(U), G
+    if model._prior_only:
+        return float(U), G, None
+    A = model._H @ Z  # its softmax over the parts is written in place
+    geometry.softmax(A.T, out=A.T)
+    misfit, T = _misfit(A, model)
+    T *= A
+    T -= A * np.add.reduce(T, axis=0, keepdims=True)
+    G += model._H.T @ T
+    return float(U + misfit), G, A
 
 
 def latent_neg_log_posterior(Z, model):
@@ -279,29 +284,30 @@ def _initial_latent(model, cfg, rng):
     return np.zeros((spec.P - 1, model.n_pixels))
 
 
-# Noise is drawn and kept states are buffered a block of steps at a time;
-# a block is as many whole steps as fit in this many doubles, and at least one.
+# Noise is drawn a block of steps at a time; a block is as many whole steps
+# as fit in this many doubles, and at least one.
 _BLOCK_DOUBLES = 1 << 14
 
 
-def _langevin(state, x, cfg, rng, image_shape, images, project=None):
+def _langevin(state, x, cfg, rng, image_shape, project=None):
     """Unadjusted Langevin from ``x``: the loop both samplers share.
 
     Update: x <- x - step * grad U(x) + sqrt(2 step) * noise, then
-    ``project`` when given. ``state(x)`` returns U(x) and its gradient.
-    Kept states are buffered a block at a time and ``images(states, out)``
-    writes the abundance images of each buffer, a stack of states, into
-    ``out``, their rows of the kept images. The noise of a block is drawn
-    at once, which gives the same numbers as one draw per step. Returns the
-    kept images, an (n_kept,) + ``image_shape`` array, and the energy trace.
+    ``project`` when given. ``state(x, out)`` returns U(x) and its gradient
+    and, unless ``out`` is None, writes the abundance image of x into
+    ``out``. So each kept image is made by the state evaluation that the
+    chain runs anyway: x_t, the state after t updates, is kept by step t's
+    evaluation (the final energy's for t = n_steps), straight into its row
+    of the kept images. The noise of a block of steps is drawn at once,
+    which gives the same numbers as one draw per step. Returns the kept
+    images, an (n_kept,) + ``image_shape`` array, and the energy trace.
 
     The loop runs on two threads, so a chain uses two cores and its CPU
     time exceeds its wall time. While this thread runs block k, one helper
-    thread draws block k+1's noise into the other of two noise buffers and
-    maps block k-1's kept states, in the other of two state buffers, into
-    the kept images. Only the helper touches ``rng`` once the first block
-    is drawn, and it draws the blocks in order, so the chain has the bits
-    of a loop on one thread. The helper is joined on every exit; an
+    thread draws block k+1's noise into the other of two noise buffers;
+    that is all it does. Only the helper touches ``rng`` once the first
+    block is drawn, and it draws the blocks in order, so the chain has the
+    bits of a loop on one thread. The helper is joined on every exit; an
     exception it raises is raised again here at the end of the block it
     overlapped, unless this thread raised first.
     """
@@ -311,47 +317,31 @@ def _langevin(state, x, cfg, rng, image_shape, images, project=None):
     block = max(1, _BLOCK_DOUBLES // x.size)
     n_blocks = -(-n_steps // block)
     noise = np.empty((2, block) + x.shape)
-    states = np.empty((2, block) + x.shape)
-    kept = None
+    kept = np.empty((cfg.n_kept,) + image_shape)
     energy = np.empty(n_steps + 1)
 
-    def n_kept_before(t):  # kept steps among the first t
-        return max(0, -((burn_in - t) // thinning))
+    def image_of(t):  # the row of kept that x_t fills, if it is kept
+        i, skip = divmod(t - 1 - burn_in, thinning)
+        return None if i < 0 or skip else kept[i]
 
     def draw(k):
         eps = noise[k % 2, : min(block, n_steps - k * block)]
         rng.standard_normal(out=eps)
         eps *= noise_scale
 
-    def keep(k):
-        nonlocal kept
-        first = n_kept_before(k * block)
-        end = n_kept_before(min(k * block + block, n_steps))
-        if end > first:
-            # Allocated before the chain, it made a cold 32x32 exponential
-            # chain about 0.7 ms slower.
-            if kept is None:
-                kept = np.empty((cfg.n_kept,) + image_shape)
-            images(states[k % 2, : end - first], kept[first:end])
-
-    # Round k: this thread runs block k (the last round, the final energy)
-    # while the helper draws block k+1 and keeps block k-1.
+    # Round k: this thread runs block k while the helper draws block k+1.
     work, done = threading.Semaphore(0), threading.Semaphore(0)
     stopping = False
     failure = []
 
     def helper():
-        try:  # np.errstate is per thread
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(n_blocks + 1):
-                    work.acquire()
-                    if stopping:
-                        return
-                    if k + 1 < n_blocks:
-                        draw(k + 1)
-                    if k:
-                        keep(k - 1)
-                    done.release()
+        try:
+            for k in range(1, n_blocks):
+                work.acquire()
+                if stopping:
+                    return
+                draw(k)
+                done.release()
         except BaseException as exc:  # raised again by the caller
             failure.append(exc)
             done.release()
@@ -361,29 +351,23 @@ def _langevin(state, x, cfg, rng, image_shape, images, project=None):
     thread.start()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_blocks + 1):
+            for k in range(n_blocks):
                 work.release()
-                if k == n_blocks:
-                    energy[-1] = state(x)[0]
-                else:
-                    start = k * block
-                    eps, buf = noise[k % 2], states[k % 2]
-                    n_buf = 0
-                    for t in range(start, min(start + block, n_steps)):
-                        U, G = state(x)
-                        energy[t] = U
-                        if not math.isfinite(U):
-                            raise DivergenceError(t)
-                        x = x - gamma * G
-                        x += eps[t - start]
-                        if project is not None:
-                            x = project(x)
-                        if t >= burn_in and (t - burn_in) % thinning == 0:
-                            buf[n_buf] = x
-                            n_buf += 1
-                done.acquire()
-                if failure:
-                    raise failure[0]
+                start, eps = k * block, noise[k % 2]
+                for t in range(start, min(start + block, n_steps)):
+                    U, G = state(x, image_of(t))
+                    energy[t] = U
+                    if not math.isfinite(U):
+                        raise DivergenceError(t)
+                    x = x - gamma * G
+                    x += eps[t - start]
+                    if project is not None:
+                        x = project(x)
+                if k + 1 < n_blocks:
+                    done.acquire()
+                    if failure:
+                        raise failure[0]
+            energy[-1] = state(x, image_of(n_steps))[0]
     finally:
         stopping = True
         work.release()
@@ -409,12 +393,15 @@ def mirror_langevin(model, cfg):
     Z = _initial_latent(model, cfg, rng)
     H = model._H
 
-    def images(Zs, out):  # (M, P-1, N) -> (M, P, N), softmax over the parts
-        w = np.swapaxes(np.matmul(H, Zs, out=out), 1, 2)
-        geometry.interior_softmax(w, out=w)
+    def state(Z, out):  # a kept image is the state's softmax, floored
+        U, G, A = _latent_state(Z, model)
+        if out is not None and A is None:  # prior-only: no softmax yet
+            geometry.interior_softmax(np.matmul(H, Z, out=out).T, out=out.T)
+        elif out is not None:
+            np.maximum(A, geometry._SOFTMAX_FLOOR, out=out)
+        return U, G
 
-    shape = (model.P, model.n_pixels)
-    kept, energy = _langevin(lambda Z: _latent_state(Z, model), Z, cfg, rng, shape, images)
+    kept, energy = _langevin(state, Z, cfg, rng, (model.P, model.n_pixels))
     return SampleChain(kept, energy, "mirror-langevin", cfg)
 
 
@@ -482,13 +469,14 @@ def projected_ula(model, cfg):
     rng = np.random.default_rng(cfg.seed)
     Z0 = _initial_latent(model, cfg, rng)
     A = geometry.ilr_inv(Z0.T, model.prior.H).T
-    kept, energy = _langevin(
-        lambda A: _euclidean_potential_and_gradient(A, model),
-        A,
-        cfg,
-        rng,
-        A.shape,
-        images=lambda As, out: np.copyto(out, As),
-        project=lambda A: geometry.closure(_project_columns(A).T).T,
-    )
+
+    def state(A, out):  # a kept image is the state itself
+        if out is not None:
+            np.copyto(out, A)
+        return _euclidean_potential_and_gradient(A, model)
+
+    def project(A):
+        return geometry.closure(_project_columns(A).T).T
+
+    kept, energy = _langevin(state, A, cfg, rng, A.shape, project)
     return SampleChain(kept, energy, "projected-ula", cfg)

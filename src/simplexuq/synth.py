@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import _as_count, _as_pixels, build_gram, gp_prior_sample
+from .prior import _as_count, _as_pixels, _as_rng, build_gram, gp_prior_sample
 from .sampler import check_endmembers
 
 
@@ -88,7 +88,7 @@ def synth_generate(S, grid, spec, snr_db, rng, abundances=None):
     SynthResult
     """
     S = check_endmembers(S)
-    rng = np.random.default_rng(rng)
+    rng = _as_rng(rng)
     grid = _as_pixels(grid)
     if abundances is None:
         gram = build_gram(grid, spec.kernel)

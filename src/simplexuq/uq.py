@@ -327,6 +327,7 @@ def hdr(samples, alpha, estimator=None, bins=64, bandwidth=None):
         raise ValueError("alpha must be in (0, 1)")
     if M < 1.0 / alpha:
         raise ValueError(f"need at least {int(np.ceil(1.0 / alpha))} samples for alpha={alpha}")
+    bins = _as_count(bins, "bins")  # checked whatever the estimator
     if bandwidth is not None:
         bandwidth = _as_positive(bandwidth, "bandwidth")
     if estimator is None:

@@ -1,11 +1,13 @@
-"""Property tests of the package's three input rules.
+"""Property tests of the package's input rules.
 
 `prior._as_count` (an integer, not a bool, of at least a minimum),
-`prior._as_positive` (a positive finite real) and `prior._as_indices` (a
-list of pixel indices) are each written once. One strategy per rule draws
-what the rule refuses, and every entry point that applies the rule must
-raise ValueError for it: never TypeError, never a silent result. A value a
-run configuration can carry must also make `cli.main` return 1.
+`prior._as_float` (a Python or numpy real number, not a bool),
+`prior._as_positive` (a positive finite real), `prior._as_indices` (a list
+of pixel indices) and `prior._as_pixels` (a set of integer pixel
+coordinates) are each written once. One strategy per rule draws what the
+rule refuses, and every entry point that applies the rule must raise
+ValueError for it: never TypeError, never a silent result. A value a run
+configuration can carry must also make `cli.main` return 1.
 """
 
 import contextlib
@@ -14,21 +16,29 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplexuq import io as sio
 from simplexuq.cli import main
-from simplexuq.interp import PartialObservation
-from simplexuq.prior import KernelSpec, PriorSpec, build_gram, gp_prior_sample, pixel_prior_sample
-from simplexuq.sampler import SamplerConfig
-from simplexuq.synth import builtin_endmembers
+from simplexuq.interp import PartialObservation, interpolate
+from simplexuq.prior import (
+    KernelSpec,
+    PriorSpec,
+    build_gram,
+    gp_prior_sample,
+    pixel_prior_sample,
+    sample_latent_field,
+)
+from simplexuq.sampler import Observations, SamplerConfig
+from simplexuq.synth import builtin_endmembers, synth_generate
 from simplexuq.uq import BarycentricGrid, hdr
 
 SPEC = PriorSpec(P=3, sigma_a2=1.0)
 GRID = sio.make_grid(2, 2)
 GRAM = build_gram(GRID, SPEC.kernel)
 SAMPLES = np.random.default_rng(0).dirichlet(np.ones(3), size=20)
+ENDMEMBERS = builtin_endmembers(8, 3)[0]
 
 
 def bad_counts(minimum, optional=False):
@@ -73,6 +83,12 @@ COUNTS = {
     "pixel_prior_sample.n_samples": (bad_counts(1), lambda v: pixel_prior_sample(SPEC, v, 0)),
     "gp_prior_sample.n_samples": (bad_counts(1), lambda v: gp_prior_sample(SPEC, GRAM, v, 0)),
     "hdr.bins": (bad_counts(1), lambda v: hdr(SAMPLES, 0.1, estimator="barycentric-histogram", bins=v)),
+    "hdr.bins.latent-kde": (bad_counts(1), lambda v: hdr(SAMPLES, 0.1, estimator="latent-kde", bins=v)),
+    "PriorSpec.P": (bad_counts(2), lambda v: PriorSpec(P=v, sigma_a2=1.0)),
+    "synth_generate.rng": (bad_counts(0), lambda v: synth_generate(ENDMEMBERS, GRID, SPEC, None, v)),
+    "gp_prior_sample.rng": (bad_counts(0), lambda v: gp_prior_sample(SPEC, GRAM, 1, v)),
+    "pixel_prior_sample.rng": (bad_counts(0), lambda v: pixel_prior_sample(SPEC, 1, v)),
+    "sample_latent_field.rng": (bad_counts(0), lambda v: sample_latent_field(SPEC, GRAM, 1, v)),
     "BarycentricGrid.bins": (bad_counts(1), lambda v: BarycentricGrid(3, v)),
     "make_grid.width": (bad_counts(1), lambda v: sio.make_grid(v, 2)),
     "make_grid.height": (bad_counts(1), lambda v: sio.make_grid(2, v)),
@@ -86,6 +102,27 @@ REALS = {
     "PriorSpec.sigma_a2": lambda v: PriorSpec(P=3, sigma_a2=v),
     "SamplerConfig.step_size": lambda v: SamplerConfig(step_size=v, n_steps=10),
     "hdr.bandwidth": lambda v: hdr(SAMPLES, 0.1, estimator="latent-kde", bandwidth=v),
+}
+
+
+# what the real-number rule refuses, before any range check
+not_reals = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.just(np.True_),
+    st.text(max_size=3),
+    st.sampled_from(["2", "inf", b"2"]),
+    st.binary(max_size=3),
+    st.lists(st.floats(), max_size=2),
+    st.lists(st.floats(), min_size=1, max_size=2).map(tuple),
+    st.lists(st.floats(), min_size=1, max_size=2).map(np.array),
+)
+
+# entry point -> call, for each entry point that takes a real number
+FLOATS = {
+    **REALS,
+    "Observations.sigma2": lambda v: Observations(np.zeros((2, 2)), v),
+    "PartialObservation.nugget": lambda v: PartialObservation([0], np.full((3, 1), 1.0 / 3.0), v),
 }
 
 
@@ -104,6 +141,47 @@ def test_count_rule_takes_numpy_integers_as_python_ints():
     assert [type(v) for v in (cfg.n_steps, cfg.burn_in, cfg.thinning, cfg.seed)] == [int] * 4
     assert np.array_equal(sio.make_grid(np.int64(3), np.uint16(2)), sio.make_grid(3, 2))
     assert BarycentricGrid(3, np.int32(4)).n_cells == 16
+
+
+def test_part_counts_and_seeds_take_numpy_integers_and_generators():
+    assert type(PriorSpec(P=np.int64(3), sigma_a2=1.0).P) is int
+    # a seed and the Generator it seeds give the same draw
+    for seed in (0, np.uint32(7), 2**70):
+        want = gp_prior_sample(SPEC, GRAM, 2, np.random.default_rng(int(seed)))
+        assert np.array_equal(gp_prior_sample(SPEC, GRAM, 2, seed), want)
+    assert np.array_equal(pixel_prior_sample(SPEC, 3, np.int64(5)), pixel_prior_sample(SPEC, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("hdr.bins.latent-kde", 0),
+        ("PriorSpec.P", [3]),
+        ("synth_generate.rng", 2.5),
+        ("gp_prior_sample.rng", 2.5),
+        ("pixel_prior_sample.rng", None),
+        ("sample_latent_field.rng", -1),
+    ],
+)
+def test_count_rule_names_the_parameter(entry, value):
+    with pytest.raises(ValueError, match=f"^{entry.split('.')[1]}( seed)? must be an integer >= .*, got "):
+        COUNTS[entry][1](value)
+
+
+@pytest.mark.parametrize("entry", FLOATS)
+@given(value=not_reals)
+def test_real_rule_refuses_what_is_not_a_real_number(entry, value):
+    assume(not (entry == "hdr.bandwidth" and value is None))  # None asks for Scott's rule
+    with pytest.raises(ValueError, match=f"^{entry.split('.')[1]} must be a real number, got "):
+        FLOATS[entry](value)
+
+
+def test_real_rule_takes_python_and_numpy_reals():
+    # every numeric type the package's own callers pass
+    for value in (2, 2.0, np.int64(2), np.uint8(2), np.float32(2.0), np.float64(2.0)):
+        for entry in ("KernelSpec.length_scale", "Observations.sigma2", "PartialObservation.nugget"):
+            got = getattr(FLOATS[entry](value), entry.split(".")[1])
+            assert type(got) is float and got == 2.0
 
 
 @pytest.mark.parametrize("entry", REALS)
@@ -134,6 +212,46 @@ def test_index_rule_refuses_malformed_lists(rule_dir, indices):
         sio.load_mask(path)
     with pytest.raises(ValueError, match="observation"):
         PartialObservation(indices, np.full((3, 1), 1.0 / 3.0))
+
+
+def _spoil(args):
+    """An integer pixel set with its entry ``i`` (modulo its size) set to ``value``."""
+    U, i, value = args
+    U = U.copy()
+    U.flat[i % U.size] = value
+    return U
+
+
+_pixel_sets = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-20, 20), min_size=2 * n, max_size=2 * n)
+).map(lambda xs: np.array(xs, dtype=float).reshape(-1, 2))
+bad_pixel_sets = st.one_of(
+    # one fractional or non-finite coordinate in an (n, 2) set
+    st.tuples(
+        _pixel_sets,
+        st.integers(0, 7),
+        st.one_of(
+            st.floats(-1e6, 1e6).filter(lambda v: v != np.floor(v)),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        ),
+    ).map(_spoil),
+    _pixel_sets.map(lambda U: np.hstack([U, U[:, :1]])),  # (n, 3)
+    _pixel_sets.map(lambda U: np.stack([U, U])),  # 3-D
+)
+OBSERVED = PartialObservation([0], np.full((3, 1), 1.0 / 3.0))
+
+
+@given(U=bad_pixel_sets)
+def test_pixel_rule_refuses_what_is_not_an_integer_pixel_set(U):
+    calls = [
+        lambda: build_gram(U, KernelSpec()),
+        lambda: build_gram(U, KernelSpec(kind="dirac")),
+        lambda: interpolate(OBSERVED, SPEC, U),
+        lambda: synth_generate(ENDMEMBERS, U, SPEC, None, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="coordinate"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -523,7 +523,7 @@ def reference_chain(sampler, model, cfg, inject_noise=True):
         x = Z
 
         def state(Z):
-            return _latent_state(Z, model)
+            return _latent_state(Z, model)[:2]
 
         def image(Z):
             return geometry.interior_softmax((H @ Z).T).T
@@ -710,21 +710,51 @@ def test_block_loop_diverges_at_the_reference_step():
     assert threading.active_count() == threads
 
 
-def test_exception_mapping_kept_states_reaches_the_caller(monkeypatch):
-    # the helper thread maps kept states to images; what it raises is raised
-    # again in the caller, and the helper does not outlive the call
+def test_exception_drawing_noise_reaches_the_caller(monkeypatch):
+    # the helper thread draws every block's noise after the first; what it
+    # raises is raised again in the caller, and the helper does not outlive
+    # the call
     model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
     seven_step_blocks(monkeypatch, mirror_langevin, model)
+    draws = []
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("softmax failed")
+    class FailingGenerator(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            draws.append(threading.current_thread())
+            if len(draws) == 2:
+                raise RuntimeError("drawing block 1 failed")
+            return super().standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "interior_softmax", fail)
-    cfg = SamplerConfig(step_size=1e-3, n_steps=45, burn_in=10, seed=2)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingGenerator(np.random.PCG64(seed)))
+    cfg = SamplerConfig(step_size=1e-3, n_steps=45, burn_in=10, init="uniform-image", seed=2)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="softmax failed"):
+    with pytest.raises(RuntimeError, match="drawing block 1 failed"):
         mirror_langevin(model, cfg)
     assert threading.active_count() == threads
+    # block 0 on the calling thread, block 1 on the helper, and nothing after
+    assert len(draws) == 2
+    assert draws[0] is threading.current_thread() and draws[1] is not draws[0]
+
+
+def test_mirror_chain_runs_one_softmax_per_state(monkeypatch):
+    # each kept image is the state's own softmax, floored: a chain with a
+    # likelihood runs one softmax per state evaluation and no other
+    model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
+    seven_step_blocks(monkeypatch, mirror_langevin, model)
+    calls = {"softmax": 0, "interior_softmax": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    cfg = SamplerConfig(step_size=1e-3, n_steps=45, burn_in=10, thinning=3, init="uniform-image", seed=2)
+    chain = mirror_langevin(model, cfg)
+    assert calls == {"softmax": cfg.n_steps + 1, "interior_softmax": 0}
+    assert chain.n_samples == cfg.n_kept
 
 
 def test_concurrent_chains_match_sequential_chains(monkeypatch):
