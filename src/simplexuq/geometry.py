@@ -4,9 +4,13 @@ The interior of the unit simplex, identified with Euclidean space through
 a log-ratio chart, becomes a flat manifold: geodesics are straight lines in
 the chart coordinates and the geodesic distance is the Euclidean distance
 of the images. This module provides the charts (alr, clr, ilr and the
-softmax inverse), the induced distance and geodesic paths, the convex
-entropy potential whose gradient realizes the ilr chart as a mirror map,
-and the Helmert orthonormal basis used to represent ilr coordinates.
+softmax inverse), the induced distance and geodesic paths, and the Helmert
+orthonormal basis used to represent ilr coordinates.
+
+The ilr chart is the mirror map of the negative Shannon entropy
+``sum_k a_k log a_k``, a convex potential: its ambient gradient
+``log a_k + 1``, projected onto the zero-sum hyperplane and rotated by
+``H^T``, is ``ilr(a)`` to rounding error, as the test suite asserts.
 
 Conventions
 -----------
@@ -219,19 +223,3 @@ def geodesic_path(a, b, t, basis=None):
     else:
         raise ValueError("t must be a scalar, or 1-D with single endpoint vectors")
     return ilr_inv(z, basis)
-
-
-def entropy(a):
-    """Negative Shannon entropy ``sum_k a_k log a_k`` (in nats).
-
-    This is the convex potential whose mirror map is the ilr chart. Its
-    ambient gradient ``log a_k + 1`` equals ``clr(a)`` only after projection
-    onto the zero-sum hyperplane; composing with ``H^T`` gives exactly the
-    ilr coordinates:
-
-        ``H^T (I - 11^T/P) (log a + 1) == ilr(a)``
-
-    to rounding error, as the test suite asserts.
-    """
-    a = check_interior(a)
-    return np.sum(a * np.log(a), axis=-1)

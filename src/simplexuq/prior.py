@@ -12,6 +12,8 @@ measure on the first P-1 components of each pixel.
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +33,13 @@ _JITTER_MAX = 1e-4
 #   BLAS thread (BENCH_9.json); not checked with more BLAS threads or other
 #   cache sizes.
 # - An io.make_grid lattice this large or larger gets the row-held
-#   parity-block operator (see GramMatrix), a quarter of the dense factor's
-#   bytes: a 64x64 prior draw and first solve peak at 38 MB under
+#   block operator (see GramMatrix), a quarter of the dense factor's bytes
+#   or less: a 64x64 prior draw and first solve peak at 38 MB under
 #   tracemalloc against 166 MB (BENCH_26.json). Smaller lattices keep the
-#   dense operator, whose two-row _rsolve is faster there, as folding and
-#   unfolding alone take about 40 us: 13.4 against 45.7 us at 16x16. The
-#   crossover lies just above this count: 49.6 against 57.0 us at 22x22
-#   (484 pixels), 83.9 against 60.9 us at 24x24 (best of 7 runs, one BLAS
-#   thread, the machine above).
+#   dense operator, whose two-row _rsolve is faster there: against the
+#   square's five blocks it takes 12-15 against 29-51 us at 16x16, but
+#   44-45 against 35-37 us at 22x22 and 67-70 against 39-44 us at 24x24
+#   (best of 7 runs, one BLAS thread, the machine above; BENCH_31.json).
 _SYMV_MIN_PIXELS = 480
 
 # Entries of one block of rows: a kernel evaluation fills its
@@ -46,10 +47,14 @@ _SYMV_MIN_PIXELS = 480
 # 1/64 of a 1024 x 1024 matrix to the peak.
 _ROW_BLOCK_ENTRIES = 2**14
 
-# The parity blocks of an N-pixel lattice are filled from panels of at most
-# N / _PANEL_SHARE representatives' rows of K_U: a panel and its folds add
-# about 1/32 of N x N to the quarter of it that the blocks hold.
+# The blocks of an N-pixel lattice are filled from panels of N / _PANEL_SHARE
+# representatives' rows of K_U, but of no fewer than _PANEL_ENTRIES entries:
+# a panel and its folds add about 1/32 of N x N to the blocks from 64 x 64
+# on, and below, where that share is a few rows, the floor keeps each fold's
+# call overhead small. At 32 x 32, panels of 32 rows instead of 8 formed the
+# four parity blocks in 2.2 ms instead of 4.2, with the same bits.
 _PANEL_SHARE = 128
+_PANEL_ENTRIES = 2**15
 
 # Side of the panels an inverted precision block is mirrored by: a panel's
 # transposed copy then writes runs of 64 contiguous entries per column.
@@ -203,34 +208,56 @@ class GramMatrix:
     pixel offset (Dietrich & Newsam 1997). A kernel of |dx| and |dy|
     commutes with the lattice's x- and y-reflections, so K_U is
     block-diagonal in their four even/odd parity classes (Cantoni & Butler
-    1976, Linear Algebra Appl. 13:275, once per axis). For a basis V_c of
-    class c of unnormalised +-1 folds of mirrored pixels (the centre row or
-    column of an odd side is even), B_c = V_c^T K_U V_c =
-    diag(|orbit|) (K_U V_c)[representatives], the pixels x < w/2, y < h/2
-    (rounded up), whose orbits hold 1, 2 or 4 pixels. Formed in O(N^2)
-    from the row and factored by ``dpotrf``, B_c = L_c L_c^T, the four
-    blocks, a quarter of N^2 entries, are the operator's one
-    factorization, formed again by each use. The first solve inverts them
-    in place and keeps the inverses: K_U^{-1} = sum_c V_c B_c^{-1} V_c^T,
-    so a product folds the right-hand side into the classes, multiplies
-    each by its block and unfolds the result. As V_c^T V_c =
-    diag(|orbit|), L = [V_c diag(|orbit|)^{-1} L_c] has L L^T = K_U: a
-    draw feeds each L_c its class-sized part of the white noise, and
-    ``log_det`` is sum_c log det B_c - sum log |orbit| over every class's
-    representatives. Every Gram operator's factor comes from one routine,
-    `_factor_with_jitter`: the first factorization runs its jitter ladder
-    (none, then 1e-10 up to 1e-4 times sigma_k2 on the diagonal), raising
-    ``IllConditionedKernelError`` if none succeeds, and later ones reuse
-    its jitter: ``applied_jitter`` (0.0 when none was needed; a factor
-    built by hand carries the one it is given). ``matrix`` is the row's
-    fill with that jitter on the diagonal. Only ``chol``, which no
-    pipeline path reads, forms an N x N array: that fill, factored in
-    place. Smaller lattices, like other pixel sets, get the dense
-    operator, whose one block, V = I, has the factor ``chol``. One lock
-    per operator serialises the forming, so instances are safe to share
-    across threads: the ladder runs once, and the precision and ``chol``
-    form once each. What an instance represents never changes; instances
-    compare and hash by identity.
+    1976, Linear Algebra Appl. 13:275, once per axis). Class c has a basis
+    V_c of unnormalised +-1 folds of mirrored pixels (the centre row or
+    column of an odd side is even), one per representative, the pixels
+    x < w/2, y < h/2 (rounded up), whose orbits hold 1, 2 or 4 pixels;
+    its block is B_c = V_c^T K_U V_c = diag(|orbit|) (K_U V_c)[reps].
+    Formed in O(N^2) from the row and factored by ``dpotrf``,
+    B_c = L_c L_c^T, the four blocks, a quarter of N^2 entries, are the
+    factorization that draws and ``log_det`` use, formed again by each
+    use. As V_c^T V_c = diag(|orbit|), L = [V_c diag(|orbit|)^{-1} L_c] has
+    L L^T = K_U: a draw feeds each L_c its class-sized part of the white
+    noise, and ``log_det`` is sum_c log det B_c - sum log |orbit| over
+    every class's representatives.
+
+    Solves use K_U^{-1} = sum_b W_b B_b^{-1} W_b^T over the blocks of the
+    lattice's symmetry classes, whose inverses the first solve forms by
+    ``dpotrf`` and ``dpotri`` in place and keeps. A rectangle's classes are
+    the four parity classes. A square's kernel also commutes with the
+    transposition (x, y) -> (y, x), so K_U commutes with the whole
+    dihedral group D4 of the square, and a basis adapted to it (Fässler &
+    Stiefel 1992, Group Theoretical Methods and Their Applications) splits
+    K_U further: the even/even class into parts symmetric and antisymmetric
+    under the transposition, with one basis vector per representative
+    x <= y (the antisymmetric part off the diagonal), the odd/odd class
+    likewise, and the x-even/y-odd class, which the transposition maps
+    onto the x-odd/y-even one. That pair shares the x-even/y-odd block
+    when the x-odd/y-even class's basis is taken at the transposed
+    representatives. Five blocks, about an eighth of N^2 entries, then
+    hold the precision, and each is B_b = diag(|orbit|) (K_U W_b)[reps]
+    again, with orbits of up to 8 pixels. A product folds the right-hand
+    side into the classes through index tables built once per lattice
+    (`_classes`): one gather of each representative's images, one product
+    with a small 0/+-1 matrix, the 4 x 4 Hadamard matrix or its 8 x 8
+    counterpart, and one gather of the coefficients. It multiplies each
+    block by its classes' rows, the shared block by both classes' rows
+    at once, and unfolds the result by the transposed steps.
+
+    Every Gram operator's factor comes from one routine,
+    `_factor_with_jitter`: the first factorization, of either set of
+    blocks, runs its jitter ladder (none, then 1e-10 up to 1e-4 times
+    sigma_k2 on the diagonal), raising ``IllConditionedKernelError`` if
+    none succeeds, and later ones reuse its jitter: ``applied_jitter``
+    (0.0 when none was needed; a factor built by hand carries the one it
+    is given). ``matrix`` is the row's fill with that jitter on the
+    diagonal. Only ``chol``, which no pipeline path reads, forms an N x N
+    array: that fill, factored in place. Smaller lattices, like other pixel
+    sets, get the dense operator, whose one block, V = I, has the factor
+    ``chol``. One lock per operator serialises the forming, so instances
+    are safe to share across threads: the ladder runs once, and the
+    precision and ``chol`` form once each. What an instance represents
+    never changes; instances compare and hash by identity.
 
     A product with a block reads the whole block for a few flops per
     entry, so its cost is memory traffic. From ``_SYMV_MIN_PIXELS`` pixels
@@ -238,7 +265,9 @@ class GramMatrix:
     multiplied by BLAS ``dsymv``, which reads one triangle: half the
     traffic, and half the time for a 1024-pixel block. Below that the
     block stays in cache, and one ``matmul`` beats a ``dsymv`` call per
-    row, with its call overhead and slower kernel.
+    row, with its call overhead and slower kernel. The shared block's
+    product with more than two rows is one ``matmul`` at any size, which
+    reads the block once.
     """
 
     # what a lattice operator has not formed yet, and what others do not have
@@ -287,7 +316,7 @@ class GramMatrix:
     def applied_jitter(self):
         """The jitter on K_U's diagonal; factors the blocks if nothing has."""
         if self._jitter is None:
-            self._block_factors()
+            self._block_factors(_classes(self._lattice, False))
         return self._jitter
 
     @property
@@ -296,10 +325,12 @@ class GramMatrix:
         return self._formed("_precision", self._form_precision)
 
     def _fill(self, jit):
-        """The lattice kernel matrix K_U + jit I, filled from the row."""
+        """The lattice kernel matrix K_U + jit I, filled from the row: pixel
+        (x, y)'s row is a window of the offset table."""
         w, h = self._lattice
         K = np.empty((w * h, w * h))
-        np.copyto(K.reshape(h, w, h, w), _offset_rows(self._row, jit, self._lattice))
+        table = _offset_table(self._row, jit, self._lattice)
+        np.copyto(K.reshape(h, w, h, w), np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1])
         return K
 
     def _form_factor(self):
@@ -308,12 +339,12 @@ class GramMatrix:
         L.setflags(write=False)
         return L
 
-    def _block_factors(self):
-        """Each parity class's lower factor L_c of B_c, upper triangle zeroed,
-        as F-ordered views of one store; the first call sets the jitter."""
+    def _block_factors(self, classes):
+        """Each block's lower factor L_b of B_b, upper triangle zeroed, as
+        F-ordered views of one store; the first call sets the jitter."""
         with self._lock:
             factors, self._jitter = _factor_with_jitter(
-                lambda jit: _parity_blocks(self._row, jit, self._lattice), float(self._row[0]), self._jitter
+                lambda jit: _parity_blocks(self._row, jit, classes), float(self._row[0]), self._jitter
             )
         return factors
 
@@ -321,7 +352,7 @@ class GramMatrix:
         from ._lapack import dpotri
 
         # off the lattice B = K_U, whose factor is the read-only chol: dpotri copies it
-        factors = [self._chol] if self._lattice is None else self._block_factors()
+        factors = [self._chol] if self._lattice is None else self._block_factors(_symmetry_classes(self._lattice))
         blocks = []
         upper = np.tri(_MIRROR_PANEL, k=-1, dtype=bool).T
         for F in factors:
@@ -365,8 +396,19 @@ class GramMatrix:
             return Zc / chol / chol
         if self._lattice is None:
             return _block_product(Zc, self._blocks[0])
-        parts = _fold(Zc, self._lattice)
-        return _unfold([_block_product(z, inv) for z, inv in zip(parts, self._blocks)], self._lattice)
+        classes = _symmetry_classes(self._lattice)
+        Y = _fold(Zc.reshape(-1, n), classes)
+        X = np.zeros((len(Y), n + 1))
+        # Classes that share a block go through one product, stacked by rows.
+        # Past two stacked rows that product is one matmul, which reads the
+        # block once, not a dsymv per row, which reads half of it each time:
+        # 3.2-3.3 against 3.4-3.5 ms for four rows of the 2256-pixel block
+        # at 95x95 (BENCH_31.json).
+        for inv, (s, e, k) in zip(self._blocks, classes.blocks):
+            z = Y[:, s:e].reshape(k * len(Y), len(inv))
+            x = z @ inv if k > 1 and len(z) > 2 else _block_product(z, inv)
+            X[:, s:e] = x.reshape(len(Y), e - s)
+        return _unfold(X, classes).reshape(Zc.shape)
 
     def solve(self, B):
         """K_U^{-1} B over the first axis of B; raises ValueError on a non-finite B."""
@@ -375,63 +417,201 @@ class GramMatrix:
     @property
     def log_det(self):
         if self._lattice is not None:
-            factors, orbits = self._block_factors(), _class_orbits(self._lattice)
-            return sum(2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(o)) for L, o in zip(factors, orbits))
+            classes = _classes(self._lattice, False)
+            return sum(
+                2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(classes.norms[s:e]))
+                for L, (s, e, _) in zip(self._block_factors(classes), classes.blocks)
+            )
         diag = self.chol if self.chol.ndim == 1 else np.diag(self.chol)
         return 2.0 * np.sum(np.log(diag))
 
     def sqrt_matvec(self, E):
         """E L^T over the last axis of E: maps white noise to covariance K_U."""
         if self._lattice is not None:
-            factors, orbits = self._block_factors(), _class_orbits(self._lattice)
-            parts = np.split(E, np.cumsum([o.size for o in orbits])[:-1], axis=-1)
-            return _unfold([e @ L.T / o.reshape(-1) for e, L, o in zip(parts, factors, orbits)], self._lattice)
+            classes = _classes(self._lattice, False)
+            n = self.n_pixels
+            X = np.zeros(E.shape[:-1] + (n + 1,))
+            # E's own stacked shape: a product with more rows at once may round differently
+            for L, (s, e, _) in zip(self._block_factors(classes), classes.blocks):
+                X[..., s:e] = E[..., s:e] @ L.T / classes.norms[s:e]
+            return _unfold(X.reshape(-1, n + 1), classes).reshape(E.shape)
         if self.chol.ndim == 1:
             return E * self.chol
         return E @ self.chol.T
 
 
-def _offset_rows(row, jit, lattice):
-    """The rows of K_U + jit I, for K_U the stationary matrix whose corner
-    pixel's row is ``row``, as an (h, w, h, w) view of one (2h-1, 2w-1)
-    table of the kernel at each offset: pixel (x, y)'s row is [y, x]."""
+def _offset_table(row, jit, lattice):
+    """The (2h-1, 2w-1) table of K_U + jit I at each pixel offset, for K_U
+    the stationary matrix whose corner pixel's row is ``row``: the entry of
+    pixels (x, y) and (x', y') is [h-1-y+y', w-1-x+x']."""
     w, h = lattice
     corner = row.reshape(h, w)
     table = corner[abs(np.arange(1 - h, h))][:, abs(np.arange(1 - w, w))]
     table[h - 1, w - 1] += jit
-    return np.lib.stride_tricks.sliding_window_view(table, (h, w))[::-1, ::-1]
+    return table
 
 
-def _class_orbits(lattice):
-    """Each parity class's (x, y) grid of orbit sizes, in `_fold`'s order:
-    the first representatives along each axis of the even fold of ones."""
+class _Classes(NamedTuple):
+    """Index tables that fold pixel vectors into a lattice's symmetry classes.
+
+    ``images[r]`` lists the pixels that the group's elements map
+    representative r to, with ``n`` (a zero slot) where an image repeats an
+    earlier one. The small 0/+-1 matrices ``stages``, multiplied in turn,
+    combine one row of images into the G coefficients of r. The parity
+    classes' two stages each sum or subtract two entries per column, so
+    their coefficients take the additions of a mirror fold by hand, in its
+    order, and keep its bits; the D4 classes' one stage is a single
+    product. ``select``
+    picks each class's coefficients from the flattened (R, G) combinations,
+    class after class. ``place`` and ``pixel`` invert ``select`` and
+    ``images``: the coefficient that each flattened combination takes
+    (``n``, a zero, for none) and the flattened image that holds each
+    pixel. ``reps`` is the
+    pixel whose row of K_U gives each coefficient's row of its block,
+    ``norms`` the number of pixels in its basis vector. Each block's
+    (start, stop, count) in ``blocks`` spans the coefficients of the
+    ``count`` classes of equal size that share it.
+    """
+
+    lattice: tuple
+    images: np.ndarray
+    stages: tuple
+    select: np.ndarray
+    place: np.ndarray
+    pixel: np.ndarray
+    reps: np.ndarray
+    norms: np.ndarray
+    blocks: tuple
+
+
+@lru_cache(maxsize=8)
+def _classes(lattice, diagonal):
+    """The tables of a (width, height) lattice's classes (see `GramMatrix`).
+
+    The representatives are the pixels x < w/2, y < h/2 (rounded up) in
+    x-major order; with ``diagonal``, a square's, only those with x <= y.
+    The mirror images of (x, y) come in the order (x, y), (x, y'), (x', y),
+    (x', y'), for x' = w - 1 - x and y' = h - 1 - y, and the 4 x 4 Hadamard
+    matrix, as a fold along x and then one along y, turns them into the
+    x-even/y-even, x-even/y-odd, x-odd/y-even and x-odd/y-odd folds: four
+    parity classes, each over the representatives off the centre row or
+    column it is odd across. With ``diagonal`` the mirror images of (y, x)
+    follow, and one 8 x 8 matrix folds both alike and gives the even/even
+    fold of (x, y) plus and minus that of (y, x), the same for odd/odd,
+    and the mixed folds of (x, y) and of (y, x) apart.
+    The classes are then even/even symmetric and antisymmetric under the
+    transposition, odd/odd likewise, x-even/y-odd over its own
+    representatives, and x-odd/y-even at their transposes, in the same
+    order: the transposition maps each basis vector of the one onto the
+    other's, so those two share a block.
+    """
     w, h = lattice
-    we, he = (w + 1) // 2, (h + 1) // 2
-    orbit = _fold(np.ones(w * h), lattice)[0].reshape(we, he)
-    return [orbit[:a, :b] for a in (we, w // 2) for b in (he, h // 2)]
+    n = w * h
+    we = (w + 1) // 2
+    x, y = np.divmod(np.arange(we * ((h + 1) // 2)), (h + 1) // 2)
+    if diagonal:
+        x, y = x[x <= y], y[x <= y]
+
+    def mirrors(u, v):
+        return [(w - 1 - u if i else u, h - 1 - v if j else v) for i in (0, 1) for j in (0, 1)]
+
+    images = np.stack([v * w + u for u, v in mirrors(x, y) + (mirrors(y, x) if diagonal else [])], axis=1)
+    for k in range(1, images.shape[1]):
+        images[np.any(images[:, :k] == images[:, k : k + 1], axis=1), k] = n
+    # the 4 x 4 Hadamard matrix as its x and y stages
+    h2, i2 = np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(2)
+    stages = [np.kron(h2, i2), np.kron(i2, h2)]
+    xo, yo = x < w // 2, y < h // 2
+    if diagonal:
+        index = np.zeros((we, we), dtype=np.intp)
+        index[x, y] = np.arange(len(x))
+        qx, qy = np.divmod(np.arange(we * (w // 2)), w // 2)
+        up, low = qx <= qy, qy <= qx
+        # the folds of (x, y) and of (y, x); then even/even and odd/odd of
+        # (x, y) plus and minus those of (y, x), and the mixed ones apart:
+        # one 8 x 8 matrix, as these coefficients keep no earlier bits
+        T = np.hstack([np.kron(h2, np.eye(4))[:, [0, 4, 3, 7]], np.eye(8)[:, [1, 5, 2, 6]]])
+        stages = [np.kron(i2, stages[0]) @ np.kron(i2, stages[1]) @ T]
+        off = x < y
+        parts = [(np.flatnonzero(keep), col) for col, keep in enumerate((x <= y, off, yo, off & yo))]
+        parts += [
+            (np.where(up, index[qx, qy], index[qy, qx]), np.where(up, 4, 5)),
+            (np.where(low, index[qy, qx], index[qx, qy]), np.where(low, 6, 7)),
+        ]
+        shared = [1, 1, 1, 1, 2]
+    else:
+        parts = [(np.flatnonzero(keep), col) for col, keep in enumerate((x >= 0, yo, xo, xo & yo))]
+        shared = [1, 1, 1, 1]
+    signs = reduce(np.matmul, stages)
+    G = len(signs)
+    select = np.concatenate([r * G + col for r, col in parts])
+    starts = np.cumsum([0] + [len(r) for r, _ in parts])
+    firsts = np.cumsum([0] + shared)[:-1]
+    held = images < n
+    # each coefficient's representative is the first pixel its basis vector holds
+    r = select // G
+    first = np.argmax((signs[:, select % G].T != 0) & held[r], axis=1)
+    place = np.full(images.size, n)
+    place[select] = np.arange(n)
+    pixel = np.empty(n, dtype=np.intp)
+    pixel[images[held]] = np.flatnonzero(held)
+    tables = _Classes(
+        lattice,
+        images,
+        tuple(stages),
+        select,
+        place,
+        pixel,
+        images[r, first],
+        (held @ np.abs(signs)).reshape(-1)[select],
+        tuple((int(starts[i]), int(starts[i + k]), k) for i, k in zip(firsts, shared)),
+    )
+    for a in (images, *stages, select, place, pixel, tables.reps, tables.norms):
+        a.setflags(write=False)
+    return tables
 
 
-def _parity_blocks(row, jit, lattice):
-    """Each parity class's B_c = diag(|orbit|) (K_U V_c)[representatives],
-    for K_U the stationary matrix of ``row`` with ``jit`` on its diagonal:
-    F-ordered views of one allocation of N^2/4 entries, freed whole."""
-    n = lattice[0] * lattice[1]
-    orbits = _class_orbits(lattice)
-    ends = np.cumsum([o.size**2 for o in orbits])
+def _symmetry_classes(lattice):
+    """The classes the precision is held in: a square's D4 classes, else
+    the four parity classes."""
+    return _classes(lattice, lattice[0] == lattice[1])
+
+
+def _parity_blocks(row, jit, classes):
+    """Each block B of ``classes`` for K_U the stationary matrix of ``row``
+    with ``jit`` on its diagonal: B = diag(norms) (K_U W)[reps] over the
+    coefficients of the first class that shares it. F-ordered views of one
+    allocation of the blocks' entries, freed whole."""
+    n = len(row)
+    w, h = classes.lattice
+    spans = [(s, s + (e - s) // k) for s, e, k in classes.blocks]
+    ends = np.cumsum([(e - s) ** 2 for s, e in spans])
     store = np.zeros(ends[-1])
-    factors = [store[e - o.size**2 : e].reshape(o.size, o.size, order="F") for o, e in zip(orbits, ends)]
-    rows = _offset_rows(row, jit, lattice)
-    # the x-even/y-even class has every representative
-    we, he = orbits[0].shape
-    orbit = orbits[0][:, :, None, None]
-    k = max(1, n // _PANEL_SHARE)
-    for x in range(we):
-        for y in range(0, he, k):
-            e = min(y + k, he)
-            parts = _fold((rows[y:e, x] * orbit[x, y:e]).reshape(e - y, n), lattice)
-            for B, part, (a, b) in zip(factors, parts, (o.shape for o in orbits)):
-                if x < a and y < b:
-                    B.T.reshape(a, b, a * b)[x, y:e] = part[: b - y]
+    factors = [store[end - (e - s) ** 2 : end].reshape(e - s, e - s, order="F") for (s, e), end in zip(spans, ends)]
+    # Entry (q, p) of K_U + jit I is the offset table's flat entry
+    # first[q] + second[p]; a zero slot's index points past the table, which
+    # "clip" maps to the zero appended to it.
+    table = np.append(_offset_table(row, jit, classes.lattice), 0.0)
+    y, x = np.divmod(np.arange(n), w)
+    second = np.append(y * (2 * w - 1) + x, table.size)[classes.images]
+    # The rows of K_U that the blocks read, a panel at a time, in the x-major
+    # order of the representatives: each block's rows in a panel are then
+    # consecutive.
+    reps = [classes.reps[s:e] % w * h + classes.reps[s:e] // w for s, e in spans]
+    read = np.zeros(n, dtype=bool)
+    for r in reps:
+        read[r] = True
+    x, y = np.divmod(np.flatnonzero(read), h)
+    first = (h - 1 - y) * (2 * w - 1) + (w - 1 - x)
+    order = np.cumsum(read) - 1
+    at = [order[r] for r in reps]
+    k = max(n // _PANEL_SHARE, _PANEL_ENTRIES // n)
+    for p in range(0, len(first), k):
+        Y = _combine(np.take(table, first[p : p + k, None, None] + second, mode="clip"), classes)
+        for B, (s, e), a in zip(factors, spans, at):
+            i, j = np.searchsorted(a, (p, p + k))
+            np.multiply(classes.norms[s + i : s + j, None], Y[a[i:j] - p, s:e], out=B.T[i:j])
+        del Y  # before the next panel's gather
     return factors
 
 
@@ -450,55 +630,35 @@ def _block_product(z, inv):
     return out
 
 
-def _mirror_fold(a):
-    """(even, odd) folds of a over its last axis of n entries: the sums and
-    the differences of mirrored entries, ceil(n/2) and floor(n/2) of them;
-    the centre entry of an odd n is even."""
-    n = a.shape[-1]
-    k = n // 2
-    lo, hi = a[..., :k], a[..., ::-1][..., :k]
-    even = np.empty(a.shape[:-1] + (n - k,))
-    np.add(lo, hi, out=even[..., :k])
-    even[..., k:] = a[..., k : n - k]
-    return even, lo - hi
+def _fold(a, classes):
+    """W^T a for the (L, N) pixel rows a: each class's coefficients, class
+    after class. One gather of every representative's images, then
+    `_combine`."""
+    ext = np.zeros((len(a), a.shape[1] + 1))
+    ext[:, :-1] = a
+    return _combine(np.take(ext, classes.images, axis=1), classes)
 
 
-def _mirror_unfold(even, odd):
-    """V_e even + V_o odd over the last axis: the transpose of `_mirror_fold`,
-    which returns V_e^T a and V_o^T a."""
-    k = odd.shape[-1]
-    n = even.shape[-1] + k
-    out = np.empty(even.shape[:-1] + (n,))
-    np.add(even[..., :k], odd, out=out[..., :k])
-    np.subtract(even[..., :k], odd, out=out[..., ::-1][..., :k])
-    out[..., k : n - k] = even[..., k:]
-    return out
+def _combine(v, classes):
+    """W^T a from the (L, R, G) values v of a at the images, zero at the
+    zero slots: the products with the stages, one gather of the
+    coefficients. Each step frees the array before it, when nothing else
+    holds it."""
+    L, G = len(v), v.shape[-1]
+    F = v.reshape(-1, G)
+    del v
+    for S in classes.stages:
+        F = F @ S
+    return np.take(F.reshape(L, -1), classes.select, axis=1)
 
 
-def _fold(a, lattice):
-    """V_c^T a over the last axis of pixel vectors a, for each parity class
-    c of a (width, height) lattice: x-even/y-even, x-even/y-odd,
-    x-odd/y-even, x-odd/y-odd."""
-    w, h = lattice
-    lead = a.shape[:-1]
-    return [
-        c.reshape(lead + (c.shape[-1] * c.shape[-2],))
-        for x in _mirror_fold(a.reshape(lead + (h, w)))
-        for c in _mirror_fold(x.swapaxes(-1, -2))
-    ]
-
-
-def _unfold(parts, lattice):
-    """sum_c V_c parts[c] over the last axis, for `_fold`'s classes:
-    the transpose of `_fold`."""
-    w, h = lattice
-    lead = parts[0].shape[:-1]
-    he, ho = (h + 1) // 2, h // 2
-    x = [
-        _mirror_unfold(e.reshape(lead + (wc, he)), o.reshape(lead + (wc, ho))).swapaxes(-1, -2)
-        for e, o, wc in ((parts[0], parts[1], (w + 1) // 2), (parts[2], parts[3], w // 2))
-    ]
-    return _mirror_unfold(*x).reshape(lead + (w * h,))
+def _unfold(X, classes):
+    """W X for the (L, N + 1) coefficient rows X, last column zero: the
+    transpose of `_fold`, by the same steps in reverse."""
+    V = np.take(X, classes.place, axis=1).reshape(-1, len(classes.stages[0]))
+    for S in classes.stages[::-1]:
+        V = V @ S.T
+    return np.take(V.reshape(len(X), -1), classes.pixel, axis=1)
 
 
 def _factor_with_jitter(make_blocks, scale, jitter=None):

@@ -8,7 +8,6 @@ from simplexuq.geometry import (
     alr,
     closure,
     clr,
-    entropy,
     geodesic_distance,
     geodesic_path,
     helmert_basis,
@@ -267,15 +266,19 @@ def test_path_rejects_out_of_range_t():
 
 
 def test_entropy_values():
-    assert abs(entropy(np.full(3, 1.0 / 3.0)) + np.log(3.0)) < 1e-14
-    assert abs(entropy(np.array([0.5, 0.5])) + np.log(2.0)) < 1e-15
+    # the negative Shannon entropy sum_k a_k log a_k, the mirror map's potential
+    a = np.full(3, 1.0 / 3.0)
+    assert abs(np.sum(a * np.log(a)) + np.log(3.0)) < 1e-14
+    a = np.array([0.5, 0.5])
+    assert abs(np.sum(a * np.log(a)) + np.log(2.0)) < 1e-15
 
 
 def test_entropy_permutation_invariant():
     rng = np.random.default_rng(31)
     a = random_interior(rng, 100, 4)
     perm = rng.permutation(4)
-    assert np.max(np.abs(entropy(a) - entropy(a[:, perm]))) < 1e-14
+    b = a[:, perm]
+    assert np.max(np.abs(np.sum(a * np.log(a), axis=-1) - np.sum(b * np.log(b), axis=-1))) < 1e-14
 
 
 def test_mirror_map_projected_gradient_identity():

@@ -547,10 +547,10 @@ def test_gram_peak_memory_is_three_matrices():
     # Under tracemalloc (which sees numpy's buffers, not LAPACK's work
     # space) a build peaks at three N x N arrays at most; on this lattice
     # it keeps the kernel's first row alone. The first solve, above the
-    # crossover, forms the four parity blocks of the precision, a quarter
-    # of N x N, from panels of 4 rows of K_U that with their folds add
-    # about a twentieth of N x N. The in-place test above holds forming the
-    # factor to one array.
+    # crossover, forms the five blocks of the square's precision, an eighth
+    # of N x N, from panels of rows of K_U that with their folds add about
+    # a quarter of N x N. The in-place test above holds forming the factor
+    # to one array.
     grid = sio.make_grid(24, 24)
     nbytes = len(grid) ** 2 * 8
     Zc = np.ones((2, len(grid)))
@@ -565,7 +565,7 @@ def test_gram_peak_memory_is_three_matrices():
             solved, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gram._lattice == (24, 24) and len(gram._blocks) == 4
+        assert gram._lattice == (24, 24) and len(gram._blocks) == 5
         assert build_peak <= 3.05 * nbytes and built <= 1.05 * nbytes
         assert solve_peak - built <= 0.42 * nbytes and solved - built <= 0.26 * nbytes
         del gram
@@ -573,10 +573,11 @@ def test_gram_peak_memory_is_three_matrices():
 
 def test_first_lattice_solve_allocates_no_full_size_array():
     # At 32 x 32 the dense factor or precision would be one 8 MB array; the
-    # build keeps the kernel's first row, 8 KiB, the blocks are one 2 MB
-    # array and each panel of rows of K_U 64 KiB. At length scale 1e15 the
-    # first block fails without jitter and all four factor with 1e-10: the
-    # failed set is freed before the next is filled.
+    # build keeps the kernel's first row, 8 KiB, the blocks are one 1 MB
+    # array and each panel of 32 rows of K_U, with its folds, under 1 MB.
+    # At length scale 1e15 the first block fails without jitter and all
+    # five factor with 1e-10: the failed set is freed before the next is
+    # filled.
     nbytes = (32 * 32) ** 2 * 8
     for length_scale, jitter in ((10.0, 0.0), (1e15, 1e-10)):
         tracemalloc.start()
@@ -819,6 +820,32 @@ def test_lattice_block_product_matches_the_dense_precision(w, h, length_scale):
         assert abs(gram.log_det - dense.log_det) <= 1e-12 * abs(dense.log_det)
 
 
+@pytest.mark.parametrize("side", [22, 23, 24])
+def test_square_lattice_precision_is_five_blocks_of_an_eighth(side):
+    # A square's kernel also commutes with the transposition: the even/even
+    # and odd/odd classes split into its symmetric and antisymmetric parts,
+    # and the two mixed classes share one block. The five blocks hold at
+    # most N^2/8 + N entries, on even and odd sides alike, and give the
+    # product of the dense precision.
+    n = side * side
+    gram = build_gram(sio.make_grid(side, side), KernelSpec(length_scale=10.0))
+    Zc = np.random.default_rng(side).standard_normal((3, n))
+    got, want = gram._rsolve(Zc), GramMatrix(gram.chol, gram.applied_jitter)._rsolve(Zc)
+    assert gram._lattice == (side, side) and len(gram._blocks) == 5
+    assert sum(B.size for B in gram._blocks) <= n * n / 8 + n
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_rectangular_lattice_keeps_the_four_parity_blocks():
+    # The transposition is no symmetry of a rectangle: 24 x 20 keeps the
+    # four parity classes of 12 x 10 representatives each.
+    gram = build_gram(sio.make_grid(24, 20), KernelSpec(length_scale=10.0))
+    Zc = np.random.default_rng(24).standard_normal((3, 480))
+    got, want = gram._rsolve(Zc), GramMatrix(gram.chol, gram.applied_jitter)._rsolve(Zc)
+    assert gram._lattice == (24, 20) and [len(B) for B in gram._blocks] == [120] * 4
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_lattice_blocks_from_the_crossover_on_multiply_with_dsymv(monkeypatch):
     # A 1 x n strip splits into two y-parity classes of n/2 pixels, each
     # past the crossover: one dsymv per row of each class.
@@ -913,6 +940,40 @@ def test_lattice_draws_and_log_det_come_from_the_parity_blocks(w, h, monkeypatch
     sign, want = np.linalg.slogdet(K)
     assert sign == 1.0 and abs(gram.log_det - want) <= 1e-12 * abs(want)
     assert gram._chol is None
+
+
+def parity_factor(K, w, h):
+    """L = [V_c diag(|orbit|)^-1 L_c] over the four parity classes c of a
+    (w, h) lattice, in the classes' order x-even/y-even, x-even/y-odd,
+    x-odd/y-even, x-odd/y-odd, each over its representatives x-major; V_c
+    holds the +-1 folds of mirrored pixels and B_c = V_c^T K V_c = L_c L_c^T."""
+    columns = []
+    for px in (0, 1):
+        for py in (0, 1):
+            reps = [(x, y) for x in range((w + 1 - px) // 2) for y in range((h + 1 - py) // 2)]
+            V = np.zeros((w * h, len(reps)))
+            for r, (x, y) in enumerate(reps):
+                for mx in (0, 1):
+                    for my in (0, 1):
+                        u, v = (w - 1 - x if mx else x), (h - 1 - y if my else y)
+                        V[v * w + u, r] = (-1.0) ** (px * mx + py * my)
+            columns.append(V / np.sum(V * V, axis=0) @ np.linalg.cholesky(V.T @ K @ V))
+    return np.hstack(columns)
+
+
+def test_square_lattice_draws_keep_the_parity_factors():
+    # The precision of a square is held in its D4 classes, but draws still
+    # map white noise through the four parity classes' factors, class by
+    # class: each seeded draw keeps its realization.
+    spec = PriorSpec(P=3, sigma_a2=0.25, kernel=KernelSpec(length_scale=10.0))
+    gram = build_gram(sio.make_grid(32, 32), spec.kernel)
+    gram._rsolve(np.ones((2, 1024)))
+    L = parity_factor(gram.matrix, 32, 32)
+    E = np.random.default_rng(32).standard_normal((2, 1024))
+    assert np.max(np.abs(gram.sqrt_matvec(E) - E @ L.T)) <= 1e-13
+    Z = np.sqrt(spec.sigma_a2) * np.random.default_rng(5).standard_normal((4, 2, 1024)) @ L.T
+    want = np.swapaxes(geometry.ilr_inv(np.swapaxes(Z, -1, -2), spec.H), -1, -2)
+    assert np.max(np.abs(gp_prior_sample(spec, gram, 4, rng=5) - want)) <= 1e-13
 
 
 def test_prior_draw_init_at_64x64_forms_no_full_size_array(monkeypatch):
@@ -1016,7 +1077,7 @@ def test_lattice_blocks_carry_the_jitter_of_the_factor(side):
     K = gram.matrix
     Zc = np.random.default_rng(side).standard_normal((3, side * side))
     got, want = gram._rsolve(Zc), GramMatrix(gram.chol, gram.applied_jitter)._rsolve(Zc)
-    assert gram._lattice == (side, side) and len(gram._blocks) == 4
+    assert gram._lattice == (side, side) and len(gram._blocks) == 5
     for X in (got, want):
         assert np.linalg.norm(X @ K - Zc) <= 1e-15 * np.linalg.norm(K, 2) * np.linalg.norm(X)
     assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
