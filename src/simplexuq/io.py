@@ -185,30 +185,42 @@ def read_abundance_stack(path):
 # ---------------------------------------------------------------------------
 
 
+def _escape_percent(cell):
+    return cell.replace("%", "%%") if isinstance(cell, str) else cell
+
+
 def _write_csv(path, header, rows, labels=None):
     """CSV with an optional header row. Each row is its entry of ``labels``
     (leading cells, if given) followed by its values written to 17
-    significant digits, which round-trips float64 exactly."""
+    significant digits, which round-trips float64 exactly.
+
+    `csv` writes the header, the labels and a ``%.17g`` field for each
+    value, which it never quotes; one ``%`` operation then formats every
+    value, so the file is the one `csv` writes from the formatted values."""
+    values = np.asarray(rows, dtype=float)
+    fields = ["%.17g"] * values.shape[-1]
     buf = _stdio.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     if header is not None:
-        wr.writerow(header)
-    for lead, row in zip(labels or [()] * len(rows), rows):
-        wr.writerow([*lead, *(format(v, ".17g") for v in row)])
-    _atomic_write_text(path, buf.getvalue())
+        wr.writerow(map(_escape_percent, header))
+    wr.writerows([*map(_escape_percent, lead), *fields] for lead in labels or [()] * len(values))
+    _atomic_write_text(path, buf.getvalue() % tuple(values.ravel().tolist()))
 
 
 def _check_endmembers(S, names):
     """The endmember rule, applied by `write_endmembers` to what it writes
     and by `load_endmembers` to what it reads: at least 2 names, distinct
-    strings without surrounding whitespace, an (L, P) matrix with a column
-    per name, and the matrix rule of `sampler.check_endmembers`."""
+    strings without surrounding whitespace or a carriage return (which
+    `csv` writes unquoted and reads as a line end), an (L, P) matrix with a
+    column per name, and the matrix rule of `sampler.check_endmembers`."""
     P = len(names)
     if P < 2:
         raise ValueError(f"need at least 2 endmember columns, found {P}")
     for name in names:
-        if not isinstance(name, str) or name != name.strip():
-            raise ValueError(f"endmember name {name!r} is not a string without surrounding whitespace")
+        if not isinstance(name, str) or name != name.strip() or "\r" in name:
+            raise ValueError(
+                f"endmember name {name!r} is not a string without surrounding whitespace or a carriage return"
+            )
     if len(set(names)) != P:
         raise ValueError(f"endmember names {names} repeat a name")
     if S.ndim != 2 or S.shape[1] != P:
@@ -216,25 +228,31 @@ def _check_endmembers(S, names):
     check_endmembers(S, warn=False)
 
 
+def _float_rows(rows, width):
+    """Float matrix of numbered CSV rows ``(i, cells)``; ValueError naming
+    the first row that is not ``width`` numeric cells."""
+    data = []
+    for i, row in rows:
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        try:
+            data.append([float(c) for c in row])
+        except ValueError:
+            raise ValueError(f"non-numeric cell in row {i}") from None
+    return np.array(data).reshape(len(data), width)
+
+
 def load_endmembers(path):
     """Load an endmember matrix from CSV (header row of names, L rows, P columns).
 
     Returns (S (L, P), names).
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("endmember CSV needs a header row and at least one band row")
     names = rows[0]
-    data = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names):
-            raise ValueError(f"row {i} has {len(row)} cells, expected {len(names)}")
-        try:
-            data.append([float(c) for c in row])
-        except ValueError:
-            raise ValueError(f"non-numeric cell in row {i}") from None
-    S = np.array(data).reshape(len(data), len(names))
+    S = _float_rows(enumerate(rows[1:], start=2), len(names))
     _check_endmembers(S, names)
     return S, names
 
@@ -249,14 +267,15 @@ def write_endmembers(path, S, names):
 
 def load_mask(path):
     """Observed-pixel indices, one per line (optional 'index' header)."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if rows and rows[0] and rows[0][0].strip().lower() == "index":
         rows = rows[1:]
     if any(len(r) != 1 for r in rows):
         raise ValueError("mask rows must hold one pixel index each")
     try:
-        idx = np.array([int(r[0]) for r in rows], dtype=int)
+        # no dtype: the array is the one write_mask makes of the same ints
+        idx = np.array([int(r[0]) for r in rows])
     except ValueError:
         raise ValueError("mask entries must be integer pixel indices") from None
     return _as_indices(idx, "mask")
@@ -275,9 +294,14 @@ def write_float_csv(path, arr, header=None):
 
 
 def read_float_csv(path):
-    with open(path, "r", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    return np.array([[float(c) for c in row] for row in rows])
+    """Float matrix of a CSV without a header row (blank lines skipped);
+    ValueError for an empty file, or naming the first row that is ragged
+    or holds a non-numeric cell."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [(i, r) for i, r in enumerate(csv.reader(fh), start=1) if r]
+    if not rows:
+        raise ValueError("float CSV holds no rows")
+    return _float_rows(rows, len(rows[0][1]))
 
 
 def make_grid(width, height):
@@ -407,7 +431,7 @@ def load_run_config(path):
     are rejected, and so are numbers too large for a float (1e400, or 1
     followed by 400 zeros), as every JSON this package writes must be
     finite."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(
                 fh,
@@ -550,34 +574,30 @@ def export_ternary(prefix, samples, geodesic_mean, euclidean_mean, hdr):
         _write_ternary_svg(f"{prefix}.svg", xy, mean_rows, mean_names, hdr_polys)
 
 
-def _svg_pt(v):
-    # 480 px to the unit edge, a 40 px margin; flip y: svg origin is top-left
-    x = 40.0 + v[0] * 480.0
-    y = 40.0 + (np.sqrt(3.0) / 2.0 - v[1]) * 480.0
-    return f"{x:.2f},{y:.2f}"
+def _svg_points(template, V):
+    """``template`` once per point of V (rows of ternary cartesian
+    coordinates), its two ``%.2f`` fields filled with the point's svg
+    position by one ``%`` operation: 480 px to the unit edge, a 40 px
+    margin, and y flipped, as svg's origin is top-left."""
+    V = np.asarray(V, dtype=float).reshape(-1, 2)
+    xy = np.column_stack([40.0 + V[:, 0] * 480.0, 40.0 + (np.sqrt(3.0) / 2.0 - V[:, 1]) * 480.0])
+    return ((template + "\n") * len(xy) % tuple(xy.ravel().tolist())).splitlines()
 
 
 def _write_ternary_svg(path, xy, mean_rows, mean_names, hdr_polys):
-    corners = simplex_corners(3)
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="560" height="520" '
         'viewBox="0 0 560 520">',
-        f'<polygon points="{" ".join(_svg_pt(c) for c in corners)}" '
+        f'<polygon points="{" ".join(_svg_points("%.2f,%.2f", simplex_corners(3)))}" '
         'fill="none" stroke="black" stroke-width="1.5"/>',
     ]
     for poly in hdr_polys:
-        out.append(
-            f'<polygon points="{" ".join(_svg_pt(v) for v in poly)}" '
-            'fill="#d8c8e8" stroke="none"/>'
-        )
+        out.append(f'<polygon points="{" ".join(_svg_points("%.2f,%.2f", poly))}" fill="#d8c8e8" stroke="none"/>')
     step = max(1, len(xy) // 4000)  # cap marker count, deterministically
-    for v in xy[::step]:
-        cx, cy = _svg_pt(v).split(",")
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="1.2" fill="#3465a4" fill-opacity="0.35"/>')
+    out += _svg_points('<circle cx="%.2f" cy="%.2f" r="1.2" fill="#3465a4" fill-opacity="0.35"/>', xy[::step])
     colors = {"geodesic": "#f5c211", "euclidean": "#813d9c"}
     for name, row in zip(mean_names, mean_rows):
-        cx, cy = _svg_pt(row).split(",")
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="{colors[name]}" stroke="black"/>')
+        out += _svg_points(f'<circle cx="%.2f" cy="%.2f" r="5" fill="{colors[name]}" stroke="black"/>', row)
     out.append("</svg>")
     _atomic_write_text(path, "\n".join(out) + "\n")
 

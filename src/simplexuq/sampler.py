@@ -21,7 +21,6 @@ simplex.
 """
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -285,7 +284,9 @@ def _initial_latent(model, cfg, rng):
 
 
 # Noise is drawn a block of steps at a time; a block is as many whole steps
-# as fit in this many doubles, and at least one.
+# as fit in this many doubles, and at least one. Drawing and scaling a block
+# of 2^14 normals takes about 0.22-0.29 ms on a 2-vCPU Xeon: 28-36 us for
+# each step of a 32x32, P = 3 chain, about a quarter of a dirac-prior step.
 _BLOCK_DOUBLES = 1 << 14
 
 
@@ -299,24 +300,16 @@ def _langevin(state, x, cfg, rng, image_shape, project=None):
     chain runs anyway: x_t, the state after t updates, is kept by step t's
     evaluation (the final energy's for t = n_steps), straight into its row
     of the kept images. The noise of a block of steps is drawn at once,
-    which gives the same numbers as one draw per step. Returns the kept
-    images, an (n_kept,) + ``image_shape`` array, and the energy trace.
-
-    The loop runs on two threads, so a chain uses two cores and its CPU
-    time exceeds its wall time. While this thread runs block k, one helper
-    thread draws block k+1's noise into the other of two noise buffers;
-    that is all it does. Only the helper touches ``rng`` once the first
-    block is drawn, and it draws the blocks in order, so the chain has the
-    bits of a loop on one thread. The helper is joined on every exit; an
-    exception it raises is raised again here at the end of the block it
-    overlapped, unless this thread raised first.
+    just before the block runs, which gives the same numbers as one draw
+    per step. The chain runs on the calling thread and starts no other.
+    Returns the kept images, an (n_kept,) + ``image_shape`` array, and the
+    energy trace.
     """
     gamma = cfg.step_size
     noise_scale = math.sqrt(2.0 * gamma)
     n_steps, burn_in, thinning = cfg.n_steps, cfg.burn_in, cfg.thinning
     block = max(1, _BLOCK_DOUBLES // x.size)
-    n_blocks = -(-n_steps // block)
-    noise = np.empty((2, block) + x.shape)
+    noise = np.empty((block,) + x.shape)
     kept = np.empty((cfg.n_kept,) + image_shape)
     energy = np.empty(n_steps + 1)
 
@@ -324,54 +317,21 @@ def _langevin(state, x, cfg, rng, image_shape, project=None):
         i, skip = divmod(t - 1 - burn_in, thinning)
         return None if i < 0 or skip else kept[i]
 
-    def draw(k):
-        eps = noise[k % 2, : min(block, n_steps - k * block)]
-        rng.standard_normal(out=eps)
-        eps *= noise_scale
-
-    # Round k: this thread runs block k while the helper draws block k+1.
-    work, done = threading.Semaphore(0), threading.Semaphore(0)
-    stopping = False
-    failure = []
-
-    def helper():
-        try:
-            for k in range(1, n_blocks):
-                work.acquire()
-                if stopping:
-                    return
-                draw(k)
-                done.release()
-        except BaseException as exc:  # raised again by the caller
-            failure.append(exc)
-            done.release()
-
-    draw(0)
-    thread = threading.Thread(target=helper, name="langevin-helper", daemon=True)
-    thread.start()
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_blocks):
-                work.release()
-                start, eps = k * block, noise[k % 2]
-                for t in range(start, min(start + block, n_steps)):
-                    U, G = state(x, image_of(t))
-                    energy[t] = U
-                    if not math.isfinite(U):
-                        raise DivergenceError(t)
-                    x = x - gamma * G
-                    x += eps[t - start]
-                    if project is not None:
-                        x = project(x)
-                if k + 1 < n_blocks:
-                    done.acquire()
-                    if failure:
-                        raise failure[0]
-            energy[-1] = state(x, image_of(n_steps))[0]
-    finally:
-        stopping = True
-        work.release()
-        thread.join()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            eps = noise[: min(block, n_steps - start)]
+            rng.standard_normal(out=eps)
+            eps *= noise_scale
+            for t in range(start, start + len(eps)):
+                U, G = state(x, image_of(t))
+                energy[t] = U
+                if not math.isfinite(U):
+                    raise DivergenceError(t)
+                x = x - gamma * G
+                x += eps[t - start]
+                if project is not None:
+                    x = project(x)
+        energy[-1] = state(x, image_of(n_steps))[0]
     if not math.isfinite(energy[-1]):
         raise DivergenceError(n_steps)
     return kept, energy

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import threading
@@ -6,8 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simplexuq import io as sio
+from simplexuq.cli import main
 from simplexuq.errors import ConfigError
 
 
@@ -385,14 +391,51 @@ def test_endmember_writer_and_reader_refuse_identical_columns(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n3\n", "row 2 has 1 cells, expected 2"),
+        ("1,2\n\n3,4,5\n", "row 3 has 3 cells, expected 2"),
+        ("a,b\n0.5,0.5\n", "non-numeric cell in row 1"),  # write_float_csv with a header
+        ("0.5,0.5\n0.5,x\n", "non-numeric cell in row 2"),
+        ("", "holds no rows"),
+        ("\n\n", "holds no rows"),
+    ],
+    ids=["ragged", "ragged-after-blank-line", "header", "letter", "empty", "blank-lines"],
+)
+def test_float_csv_reader_names_the_bad_row(tmp_path, capsys, text, message):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        sio.read_float_csv(p)
+    # the transform command reports the reader's message
+    out = tmp_path / "out.csv"
+    assert main(["transform", "--op", "ilr", "--input", str(p), "--output", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_endmember_name_with_a_carriage_return_is_refused(tmp_path):
+    # csv writes it unquoted, and reads it back as a line end
+    p = tmp_path / "end.csv"
+    with pytest.raises(ValueError, match="carriage return"):
+        sio.write_endmembers(p, np.eye(2), ["a\rb", "c"])
+    assert not p.exists()
+    p.write_text('"a\rb",c\n1,0\n0,1\n', newline="")
+    with pytest.raises(ValueError, match="carriage return"):
+        sio.load_endmembers(p)
+
+
+@pytest.mark.parametrize(
     "indices, message",
     [
         ([], "lists no pixels"),
         ([1, 1], "must be unique"),
         ([-1], "must be nonnegative"),
         ([1.5], "must be integer pixel indices"),
+        ([-(2**63) - 1], "must be integer pixel indices"),
+        ([2**64], "must be integer pixel indices"),
     ],
-    ids=["empty", "repeated", "negative", "fraction"],
+    ids=["empty", "repeated", "negative", "fraction", "below-int64", "above-uint64"],
 )
 def test_mask_writer_refuses_what_the_reader_refuses(tmp_path, indices, message):
     p = tmp_path / "mask.csv"
@@ -692,6 +735,185 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     sio.write_float_csv(tmp_path / "clean.csv", np.ones((2, 2)))
     leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# round trips, property-based: each reader returns what its writer was given
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+EDGE_FLOAT32S = [0.0, -0.0, 1.401298464324817e-45, -1.401298464324817e-45, 3.4028234663852886e38, -3.4028234663852886e38]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+finite_float32s = st.one_of(
+    st.sampled_from(EDGE_FLOAT32S), st.floats(width=32, allow_nan=False, allow_infinity=False)
+)
+sides = st.integers(1, 4)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trips")
+
+
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), elements=finite_floats))
+def test_float_csv_round_trips_every_finite_float(io_dir, arr):
+    p = io_dir / "floats.csv"
+    sio.write_float_csv(p, arr)
+    assert same_bits(sio.read_float_csv(p), arr)
+
+
+@given(L=sides, w=sides, h=sides, data=st.data())
+def test_cube_round_trips_every_finite_float32(io_dir, L, w, h, data):
+    X = data.draw(hnp.arrays(np.float32, (L, w * h), elements=finite_float32s))
+    p = io_dir / "x.cube"
+    sio.write_cube(p, X, w, h)
+    got, header = sio.read_cube(p)
+    assert got.dtype == np.float64 and same_bits(got.astype(np.float32), X)
+    assert (header["n_bands"], header["width"], header["height"]) == (L, w, h)
+
+
+@given(M=sides, P=st.integers(2, 4), w=sides, h=sides, data=st.data())
+def test_stack_round_trips_its_float64_bits(io_dir, M, P, w, h, data):
+    parts = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-300, 1e300))
+    raw = data.draw(hnp.arrays(np.float64, (M, P, w * h), elements=parts))
+    assume(np.all(raw.sum(axis=1) > 0.0))
+    stack = raw / raw.sum(axis=1, keepdims=True)
+    p = io_dir / "a.stack"
+    sio.write_abundance_stack(p, stack, w, h)
+    got, header = sio.read_abundance_stack(p)
+    assert same_bits(got, stack)
+    assert (header["n_frames"], header["n_parts"], header["width"], header["height"]) == (M, P, w, h)
+
+
+endmember_names = st.lists(
+    st.text(max_size=6).filter(lambda s: s == s.strip() and "\r" not in s), min_size=2, max_size=4, unique=True
+)
+
+
+@given(names=endmember_names, L=sides, data=st.data())
+def test_endmembers_round_trip_names_and_bits(io_dir, names, L, data):
+    # a first row of distinct values keeps the columns distinct
+    first = data.draw(st.lists(finite_floats, min_size=len(names), max_size=len(names), unique=True))
+    rest = data.draw(hnp.arrays(np.float64, (L - 1, len(names)), elements=finite_floats))
+    S = np.vstack([first, rest])
+    p = io_dir / "end.csv"
+    sio.write_endmembers(p, S, names)
+    got, got_names = sio.load_endmembers(p)
+    assert got_names == names and same_bits(got, S)
+
+
+@given(indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20, unique=True))
+def test_mask_reader_takes_exactly_what_the_writer_writes(io_dir, indices):
+    # indices beside one at or above 2**63 have no common integer dtype
+    p = io_dir / "mask.csv"
+    p.unlink(missing_ok=True)
+    try:
+        sio.write_mask(p, indices)
+    except ValueError:
+        assert not p.exists()
+        p.write_text("".join(f"{i}\n" for i in ["index", *indices]))
+        with pytest.raises(ValueError, match="mask"):
+            sio.load_mask(p)
+        return
+    assert sio.load_mask(p).tolist() == indices
+
+
+positive_reals = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 2**53))
+
+
+@st.composite
+def run_configs(draw):
+    kernel = draw(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["exponential", "dirac"])},
+        optional={"length_scale": positive_reals, "sigma_k2": positive_reals},
+    ))
+    n_steps = draw(st.integers(1, 10**6))
+    sampler = draw(st.fixed_dictionaries(
+        {"step_size": positive_reals, "n_steps": st.just(n_steps), "seed": st.integers(0, 2**32)},
+        optional={
+            "burn_in": st.integers(0, n_steps - 1),
+            "thinning": st.integers(1, 100),
+            "init": st.sampled_from(["prior-draw", "uniform-image"]),
+            "algorithm": st.sampled_from(["mirror-langevin", "projected-ula"]),
+        },
+    ))
+    return draw(st.fixed_dictionaries(
+        {
+            "n_parts": st.integers(2, 6),
+            "prior": st.fixed_dictionaries({"sigma_a2": positive_reals, "kernel": st.just(kernel)}),
+            "sampler": st.just(sampler),
+        },
+        optional={
+            "paths": st.fixed_dictionaries({}, optional={k: st.text(max_size=5) for k in ("cube", "mask")}),
+            "noise": st.one_of(
+                st.fixed_dictionaries({"sigma2": st.floats(0.0, 1e300)}),
+                st.fixed_dictionaries({"snr_db": st.floats(-100.0, 100.0)}),
+            ),
+            "grid": st.fixed_dictionaries({"width": st.integers(1, 500), "height": st.integers(1, 500)}),
+            "uq": st.fixed_dictionaries({}, optional={
+                "alpha": st.floats(0.01, 0.99),
+                "estimator": st.sampled_from(["barycentric-histogram", "latent-kde"]),
+                "bins": st.integers(1, 512),
+                "bandwidth": positive_reals,
+            }),
+        },
+    ))
+
+
+@given(doc=run_configs())
+def test_run_config_round_trips_through_json(io_dir, doc):
+    p = io_dir / "run.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = sio.load_run_config(p)
+    assert cfg == doc
+    spec = sio.config_to_prior_spec(cfg)
+    assert (spec.P, spec.sigma_a2, spec.kernel.kind) == (doc["n_parts"], doc["prior"]["sigma_a2"], doc["prior"]["kernel"]["kind"])
+    for key in ("length_scale", "sigma_k2"):
+        assert getattr(spec.kernel, key) == doc["prior"]["kernel"].get(key, 1.0)
+    scfg = sio.config_to_sampler_config(cfg)
+    for key, value in doc["sampler"].items():
+        if key != "algorithm":
+            assert getattr(scfg, key) == value
+
+
+def reference_csv(header, rows, labels=None):
+    """`_write_csv`'s bytes, formatted value by value through `csv.writer`."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        wr.writerow(header)
+    for lead, row in zip(labels or [()] * len(rows), rows):
+        wr.writerow([*lead, *(format(v, ".17g") for v in row)])
+    return buf.getvalue().encode("utf-8")
+
+
+csv_cells = st.one_of(st.text(st.sampled_from('%,"\r\n a'), max_size=4), st.text(max_size=4), st.integers())
+
+
+@given(n=st.integers(0, 4), m=st.integers(0, 4), data=st.data())
+def test_csv_writer_bytes_match_a_value_by_value_reference(io_dir, n, m, data):
+    # any float, NaN and infinities included; labels and header cells of
+    # any text, percent signs, quotes, commas and line breaks included
+    rows = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats()))
+    header = data.draw(st.none() | st.lists(csv_cells, max_size=4))
+    labels = data.draw(st.none() | st.lists(st.lists(csv_cells, max_size=3), min_size=n, max_size=n))
+    p = io_dir / "any.csv"
+    sio._write_csv(p, header, rows, labels)
+    assert p.read_bytes() == reference_csv(header, rows, labels)
+
+
+@given(V=hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)), elements=st.floats(-2.0, 2.0)))
+def test_svg_points_match_a_point_by_point_reference(V):
+    def reference(v):  # 480 px to the unit edge, a 40 px margin, y flipped
+        x = 40.0 + v[0] * 480.0
+        y = 40.0 + (np.sqrt(3.0) / 2.0 - v[1]) * 480.0
+        return f"{x:.2f},{y:.2f}"
+
+    assert sio._svg_points("%.2f,%.2f", V) == [reference(v) for v in V]
 
 
 # ---------------------------------------------------------------------------

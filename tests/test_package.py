@@ -111,8 +111,7 @@ def test_dirac_pipeline_leaves_scipy_unloaded():
     # latent-KDE HDR and the .mat loaders; importing it costs most of the package's
     # start-up, so the CLI import and a whole dirac run must not load it.
     # Nor may they load numpy.ma (about 6 ms), which np.unique imports on its
-    # first call, or queue and concurrent.futures (3.8 ms, through logging):
-    # the chain's helper thread needs only threading, which numpy imports.
+    # first call, or queue and concurrent.futures (3.8 ms, through logging).
     assert run_fresh(DIRAC_PIPELINE) == "[]"
 
 

@@ -299,7 +299,7 @@ def test_project_simplex_rejects_nonfinite():
 def test_mirror_langevin_seed_determinism_and_constraints():
     model, _ = make_model(snr_db=15.0)
     cfg = SamplerConfig(step_size=1e-3, n_steps=400, burn_in=100, seed=3)
-    threads = threading.active_count()
+    threads = threading.active_count()  # a chain starts no thread
     c1 = mirror_langevin(model, cfg)
     assert threading.active_count() == threads
     c2 = mirror_langevin(model, cfg)
@@ -711,9 +711,9 @@ def test_block_loop_diverges_at_the_reference_step():
 
 
 def test_exception_drawing_noise_reaches_the_caller(monkeypatch):
-    # the helper thread draws every block's noise after the first; what it
-    # raises is raised again in the caller, and the helper does not outlive
-    # the call
+    # each block's noise is drawn on the calling thread just before the
+    # block runs; what the draw raises reaches the caller, and nothing is
+    # drawn after it
     model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
     seven_step_blocks(monkeypatch, mirror_langevin, model)
     draws = []
@@ -731,9 +731,8 @@ def test_exception_drawing_noise_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="drawing block 1 failed"):
         mirror_langevin(model, cfg)
     assert threading.active_count() == threads
-    # block 0 on the calling thread, block 1 on the helper, and nothing after
-    assert len(draws) == 2
-    assert draws[0] is threading.current_thread() and draws[1] is not draws[0]
+    # blocks 0 and 1, both on the calling thread, and nothing after
+    assert draws == [threading.current_thread()] * 2
 
 
 def test_mirror_chain_runs_one_softmax_per_state(monkeypatch):
@@ -758,9 +757,9 @@ def test_mirror_chain_runs_one_softmax_per_state(monkeypatch):
 
 
 def test_concurrent_chains_match_sequential_chains(monkeypatch):
-    # three callers at once, each with its own helper: more threads than
-    # cores, blocks of 7 steps and a short switch interval, so the loops
-    # hand over often; each chain must keep the bytes it has alone
+    # three callers at once on one model, and so one GramMatrix: more
+    # threads than cores, blocks of 7 steps and a short switch interval, so
+    # the loops hand over often; each chain must keep the bytes it has alone
     model, _ = make_model(w=4, h=3, snr_db=15.0, kind="dirac")
     seven_step_blocks(monkeypatch, mirror_langevin, model)
     cfgs = [SamplerConfig(step_size=1e-3, n_steps=300, burn_in=50, thinning=2, seed=s)
